@@ -15,6 +15,7 @@ from fractions import Fraction
 from itertools import permutations, product as _cartesian
 
 from .liealg import Weight, root_system
+from .scalars import ParseError
 from .weyl import ModuleDescriptor, ShaleWeil
 
 _HALF = Fraction(1, 2)
@@ -65,9 +66,6 @@ class CharTable:
 
     def sorted_entries(self):
         return sorted(self.entries.items())
-
-    def weight_at(self, off):
-        return self.ref.shift(off, 2)
 
     def aligned_to(self, new_ref):
         """The same character re-expressed around another reference weight.
@@ -131,14 +129,18 @@ class CharTable:
 
     @classmethod
     def from_json_dict(cls, data, ctx):
-        ref = Weight(
-            ctx,
-            [ctx.parse(v) for v in data["reference_weight"]["h"]],
-            ctx.parse(data["reference_weight"]["z"]),
-        )
-        box = [tuple(pair) for pair in data["box"]]
-        entries = {tuple(e["offset"]): e["mult"] for e in data["entries"]}
-        return cls(ref, box, entries)
+        """Inverse of to_json_dict; input of any other shape is a ParseError."""
+        try:
+            ref = Weight(
+                ctx,
+                [ctx.parse(v) for v in data["reference_weight"]["h"]],
+                ctx.parse(data["reference_weight"]["z"]),
+            )
+            box = [tuple(pair) for pair in data["box"]]
+            entries = {tuple(e["offset"]): e["mult"] for e in data["entries"]}
+            return cls(ref, box, entries)
+        except (KeyError, TypeError) as e:
+            raise ParseError(f"malformed character table: {e!r}")
 
 
 def compare_characters(a, b, window=None):

@@ -105,13 +105,12 @@ def cmd_bracket(args):
     ctx = _context(args)
     x = parse_lie_element(args.x, ctx, args.rank)
     y = parse_lie_element(args.y, ctx, args.rank)
-    from .liealg import basis_index, bracket
+    from .liealg import bracket
 
     result = bracket(x, y)
-    idx = basis_index(args.rank)
     terms = [
         {"element": str(b), "coefficient": str(c)}
-        for b, c in sorted(result.coeffs.items(), key=lambda kv: idx[kv[0]])
+        for b, c in result.sorted_terms()
     ]
     _emit(args, [str(result)], {"result": str(result), "terms": terms})
     return 0
@@ -219,8 +218,7 @@ def cmd_verma_mult(args):
         raise ParseError(
             f"offset {list(mu)} outside the depth-{args.depth} window"
         )
-    algebra = {"g": "g", "sp": "sp"}[args.algebra]
-    mult = kostant_partition(mu, positive_roots(n, algebra))
+    mult = kostant_partition(mu, positive_roots(n, args.algebra))
     _emit(
         args,
         [str(mult)],

@@ -22,6 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
+from .combination import Combination
 
 
 class BasisElement(NamedTuple):
@@ -168,12 +169,9 @@ def _sp_matrix(b, n):
     return m
 
 
-def _is_sp(b):
-    if b.kind == "h":
-        return True
-    if b.kind != "x":
-        return False
-    return sum(abs(c) for c in b.tag) == 2
+def is_sp(b):
+    """True for the basis elements of sp_2n: h_i, X_{±e_i±e_j} and X_{±2e_i}."""
+    return b.kind == "h" or (b.kind == "x" and sum(abs(c) for c in b.tag) == 2)
 
 
 def _is_vec(b):
@@ -244,7 +242,7 @@ def _bracket_pair(a, b, n):
     """[a, b] for basis elements, as {BasisElement: Fraction}."""
     if a.kind == "z" or b.kind == "z":
         return {}
-    a_sp, b_sp = _is_sp(a), _is_sp(b)
+    a_sp, b_sp = is_sp(a), is_sp(b)
     if a_sp and b_sp:
         ma, mb = _sp_matrix(a, n), _sp_matrix(b, n)
         comm = {}
@@ -302,72 +300,38 @@ def bracket_basis(a, b, n):
 # elements and weights
 # ---------------------------------------------------------------------------
 
-class LieElement:
+class LieElement(Combination):
     """Sparse linear combination of distinguished basis elements."""
 
-    __slots__ = ("ctx", "n", "coeffs")
+    __slots__ = ("n",)
+    SPACE = ("n",)
 
     def __init__(self, ctx, n, coeffs=None):
-        self.ctx = ctx
         self.n = n
-        clean = {}
-        for b, c in (coeffs or {}).items():
-            validate_element(b, n)
-            c = ctx.coerce(c)
-            if not c.is_zero:
-                clean[b] = c
-        self.coeffs = clean
+        super().__init__(ctx, coeffs)
+
+    def _key(self, b):
+        return validate_element(b, self.n)
+
+    @property
+    def coeffs(self):
+        return self.terms
 
     @classmethod
     def from_basis(cls, ctx, n, b, coeff=1):
         return cls(ctx, n, {b: ctx.coerce(coeff)})
 
-    def _check(self, other):
-        if self.ctx is not other.ctx or self.n != other.n:
-            raise ValueError("elements from different contexts or ranks")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.coeffs)
-        for b, c in other.coeffs.items():
-            v = out.get(b, self.ctx.zero) + c
-            if v.is_zero:
-                out.pop(b, None)
-            else:
-                out[b] = v
-        return LieElement(self.ctx, self.n, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return LieElement(self.ctx, self.n, {b: -c for b, c in self.coeffs.items()})
-
-    def scale(self, c):
-        c = self.ctx.coerce(c)
-        if c.is_zero:
-            return LieElement(self.ctx, self.n)
-        return LieElement(self.ctx, self.n, {b: v * c for b, v in self.coeffs.items()})
-
-    @property
-    def is_zero(self):
-        return not self.coeffs
-
-    def __eq__(self, other):
-        if not isinstance(other, LieElement):
-            return NotImplemented
-        return self.ctx is other.ctx and self.n == other.n and self.coeffs == other.coeffs
+    def sorted_terms(self):
+        idx = basis_index(self.n)
+        return sorted(self.terms.items(), key=lambda kv: idx[kv[0]])
 
     def support(self):
-        idx = basis_index(self.n)
-        return sorted(self.coeffs, key=idx.__getitem__)
+        return [b for b, _ in self.sorted_terms()]
 
     def __str__(self):
         from .syntax import format_lie
 
         return format_lie(self)
-
-    __repr__ = __str__
 
 
 def bracket(x, y, n=None):
@@ -375,23 +339,15 @@ def bracket(x, y, n=None):
     x._check(y)
     if n is not None and n != x.n:
         raise ValueError(f"rank mismatch: elements have rank {x.n}, got {n}")
-    n = x.n
-    ctx = x.ctx
-    table = structure_constants(n)
+    table = structure_constants(x.n)
     out = {}
-    for a, ca in x.coeffs.items():
-        for b, cb in y.coeffs.items():
-            res = table.get((a, b))
-            if not res:
-                continue
+    for a, ca in x.terms.items():
+        for b, cb in y.terms.items():
             cab = ca * cb
-            for elem, frac in res:
-                v = out.get(elem, ctx.zero) + cab * frac
-                if v.is_zero:
-                    out.pop(elem, None)
-                else:
-                    out[elem] = v
-    return LieElement(ctx, n, out)
+            for elem, frac in table.get((a, b), ()):
+                cur = out.get(elem)
+                out[elem] = cab * frac if cur is None else cur + cab * frac
+    return x._like(out)
 
 
 def decomposition_parts(n, kind="standard"):

@@ -24,10 +24,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial as _math_factorial
 
+from .combination import Combination
 from .liealg import (
     LieElement,
     basis,
     bracket,
+    is_sp,
     validate_element,
     x_,
 )
@@ -49,18 +51,12 @@ def _half(ctx):
     return ctx.rational(1, 2)
 
 
-_F_BASIS_CACHE = {}
-_PHI_BASIS_CACHE = {}
-_PHI_MONO_CACHE = {}
-
-
 def f_basis(ctx, n, b):
-    """Weyl-algebra image of one distinguished basis element."""
-    key = (ctx, n, b)
-    cached = _F_BASIS_CACHE.get(key)
-    if cached is None:
-        cached = _F_BASIS_CACHE[key] = _f_basis(ctx, n, b)
-    return cached
+    """Weyl-algebra image of one distinguished basis element, memoized on ctx."""
+    key = ("f", n, b)
+    if key not in ctx.memo:
+        ctx.memo[key] = _f_basis(ctx, n, b)
+    return ctx.memo[key]
 
 
 def _f_basis(ctx, n, b):
@@ -103,7 +99,7 @@ def f_map(x, n=None):
         raise ValueError("rank mismatch")
     n = x.n
     out = WeylElement(x.ctx, n)
-    for b, c in x.coeffs.items():
+    for b, c in x.terms.items():
         out = out + f_basis(x.ctx, n, b).scale(c)
     return out
 
@@ -112,24 +108,19 @@ def f_map(x, n=None):
 # tensor algebra U(sp_2n) (x) D_n
 # ---------------------------------------------------------------------------
 
-class TensorElement:
+class TensorElement(Combination):
     """Sparse element of U(sp_2n) ⊗ D_n.
 
     Keys pair an sp PBW monomial with a Weyl normal-form monomial; products
     expand both factors through their own canonical arithmetic.
     """
 
-    __slots__ = ("ctx", "n", "terms")
+    __slots__ = ("n",)
+    SPACE = ("n",)
 
     def __init__(self, ctx, n, terms=None):
-        self.ctx = ctx
         self.n = n
-        clean = {}
-        for key, c in (terms or {}).items():
-            c = ctx.coerce(c)
-            if not c.is_zero:
-                clean[key] = c
-        self.terms = clean
+        super().__init__(ctx, terms)
 
     @classmethod
     def unit(cls, ctx, n):
@@ -147,34 +138,19 @@ class TensorElement:
     def from_weyl(cls, w):
         return cls(w.ctx, w.n, {((), key): c for key, c in w.terms.items()})
 
-    def _check(self, other):
-        if self.ctx is not other.ctx or self.n != other.n:
-            raise ValueError("tensor elements from different contexts or ranks")
-
+    # per-class entry points; see oak.combination
     def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            v = out.get(key, self.ctx.zero) + c
-            if v.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = v
-        return TensorElement(self.ctx, self.n, out)
+        return super().__add__(other)
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return super().__sub__(other)
 
     def scale(self, c):
-        c = self.ctx.coerce(c)
-        return TensorElement(
-            self.ctx, self.n, {k: v * c for k, v in self.terms.items()}
-        )
+        return super().scale(c)
 
     def __mul__(self, other):
         self._check(other)
-        ctx, n = self.ctx, self.n
-        eng = engine(n, "sp")
+        eng = engine(self.n, "sp")
         out = {}
         for (m1, w1), c1 in self.terms.items():
             word1 = eng.word_of_monomial(m1)
@@ -189,21 +165,7 @@ class TensorElement:
                         add = base if cw == 1 else base * cw
                         cur = out.get(key)
                         out[key] = add if cur is None else cur + add
-        return TensorElement(
-            ctx, n, {k: v for k, v in out.items() if not v.is_zero}
-        )
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self.ctx is other.ctx and self.n == other.n and self.terms == other.terms
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0])
+        return self._like(out)
 
     def __str__(self):
         if not self.terms:
@@ -217,27 +179,23 @@ class TensorElement:
             pieces.append(f"({c})*{left}(x){right}")
         return " + ".join(pieces)
 
-    __repr__ = __str__
-
-
-def _is_sp_elem(b):
-    return b.kind == "h" or (b.kind == "x" and sum(abs(c) for c in b.tag) == 2)
-
 
 def phi_basis(ctx, n, b):
-    """Tensor-algebra image of one basis element (z goes to the scalar s^2)."""
-    key = (ctx, n, b)
-    cached = _PHI_BASIS_CACHE.get(key)
-    if cached is None:
-        cached = _PHI_BASIS_CACHE[key] = _phi_basis(ctx, n, b)
-    return cached
+    """Tensor-algebra image of one basis element, memoized on ctx.
+
+    The central element z goes to the scalar s^2.
+    """
+    key = ("phi", n, b)
+    if key not in ctx.memo:
+        ctx.memo[key] = _phi_basis(ctx, n, b)
+    return ctx.memo[key]
 
 
 def _phi_basis(ctx, n, b):
     validate_element(b, n)
     if b.kind == "z":
         return TensorElement.unit(ctx, n).scale(ctx.zdot)
-    if _is_sp_elem(b):
+    if is_sp(b):
         # X ⊗ 1 + 1 ⊗ f(X); the 1/2 of h_i stays with the Weyl factor
         return TensorElement.from_sp(ctx, n, b) + TensorElement.from_weyl(
             f_basis(ctx, n, b)
@@ -248,17 +206,16 @@ def _phi_basis(ctx, n, b):
 def phi_lie(x):
     """phi on a Lie element (z allowed; it maps to the central charge)."""
     out = TensorElement(x.ctx, x.n)
-    for b, c in x.coeffs.items():
+    for b, c in x.terms.items():
         out = out + phi_basis(x.ctx, x.n, b).scale(c)
     return out
 
 
 def _phi_mono(ctx, n, mono):
     # images of monomials share prefixes; memoize on the monomial
-    key = (ctx, n, mono)
-    cached = _PHI_MONO_CACHE.get(key)
-    if cached is not None:
-        return cached
+    key = ("phi_mono", n, mono)
+    if key in ctx.memo:
+        return ctx.memo[key]
     if not mono:
         out = TensorElement.unit(ctx, n)
     else:
@@ -266,7 +223,7 @@ def _phi_mono(ctx, n, mono):
         prefix = mono[:-1] + ((idx, e - 1),) if e > 1 else mono[:-1]
         eng = engine(n, "g")
         out = _phi_mono(ctx, n, prefix) * phi_basis(ctx, n, eng.elements[idx])
-    _PHI_MONO_CACHE[key] = out
+    ctx.memo[key] = out
     return out
 
 

@@ -59,6 +59,9 @@ class ScalarContext:
         self._gens = {name: Scalar(self, g) for name, g in zip(symbols, gens)}
         # small-constant cache: coercion of ints and Fractions is hot
         self._ground = {}
+        # images of basis elements and monomials under the realizations
+        # (oak.morphisms), which live and die with this context
+        self.memo = {}
 
     def __repr__(self):
         return f"ScalarContext({','.join(self.symbols)})"
@@ -90,21 +93,6 @@ class ScalarContext:
         if isinstance(value, (int, Fraction)):
             return self.rational(value)
         raise TypeError(f"cannot coerce {value!r} to a scalar")
-
-    def from_terms(self, numer_terms, denom_terms=None):
-        """Build a scalar from {exponent tuple: Fraction} dicts (one per poly)."""
-        num = self._ring.from_dict(
-            {m: QQ(c.numerator, c.denominator) for m, c in numer_terms.items()}
-        )
-        if denom_terms is None:
-            den = self._ring.one
-        else:
-            den = self._ring.from_dict(
-                {m: QQ(c.numerator, c.denominator) for m, c in denom_terms.items()}
-            )
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        return Scalar(self, self._field.new(num, den))
 
     def parse(self, text):
         """Parse ``(s^2-1)/2`` style syntax into a scalar."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 
-from .liealg import LieElement, Z, basis_index, h_, is_root, x_
+from .liealg import LieElement, Z, h_, is_root, x_
 from .scalars import ParseError, _ScalarParser, _is_sum, tokenize
 from .weyl import WeylElement, weyl_multiply
 
@@ -76,14 +76,9 @@ def _join_signed(pieces):
 
 
 def format_lie(el):
-    if not el.coeffs:
+    if not el.terms:
         return "0"
-    idx = basis_index(el.n)
-    pieces = [
-        (c, format_basis(b))
-        for b, c in sorted(el.coeffs.items(), key=lambda kv: idx[kv[0]])
-    ]
-    return _join_signed(pieces)
+    return _join_signed([(c, format_basis(b)) for b, c in el.sorted_terms()])
 
 
 def format_mono(mono, n, part="g"):
@@ -110,7 +105,7 @@ def format_verma(v):
     if not v.terms:
         return "0"
     pieces = []
-    for mono, c in sorted(v.terms.items(), key=lambda kv: (sum(e for _, e in kv[0]), kv[0])):
+    for mono, c in v.sorted_terms():
         body = format_mono(mono, v.n, "g")
         pieces.append((c, f"{body}*v" if body else "v"))
     return _join_signed(pieces)

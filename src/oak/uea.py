@@ -13,13 +13,14 @@ arithmetic in :mod:`oak.morphisms`.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from functools import lru_cache
 
+from .combination import Combination
 from .liealg import (
     BasisElement,
     basis,
+    is_sp,
     structure_constants,
     validate_element,
     weight_of,
@@ -38,10 +39,7 @@ class PBWEngine:
         if part == "g":
             self.elements = full
         else:
-            self.elements = tuple(
-                b for b in full
-                if b.kind == "h" or (b.kind == "x" and sum(abs(c) for c in b.tag) == 2)
-            )
+            self.elements = tuple(b for b in full if is_sp(b))
         self.index = {b: k for k, b in enumerate(self.elements)}
         # block boundaries in the fixed order: negatives precede the Cartan
         # elements, which precede the positives (inherited from basis(n))
@@ -63,7 +61,6 @@ class PBWEngine:
                 out.append((ie, c))
             self.sc[(ia, ib)] = tuple(out)
         self._memo = {"rightmost": {}, "leftmost": {}}
-        self._lock = threading.Lock()
 
     # -- words ---------------------------------------------------------------
 
@@ -134,8 +131,7 @@ class PBWEngine:
                     else:
                         result.pop(mono, None)
         if strategy is not None:
-            with self._lock:
-                memo.setdefault(word, result)
+            memo[word] = result
         return result
 
     # -- monomial helpers ------------------------------------------------------
@@ -165,21 +161,21 @@ def engine(n, part="g"):
     return PBWEngine(n, part)
 
 
-class UEAElement:
+def _by_degree(kv):
+    """Sort key of (PBW monomial, coefficient): total degree, then monomial."""
+    return sum(e for _, e in kv[0]), kv[0]
+
+
+class UEAElement(Combination):
     """Sparse scalar combination of PBW monomials, always in canonical form."""
 
-    __slots__ = ("ctx", "n", "part", "terms")
+    __slots__ = ("n", "part")
+    SPACE = ("n", "part")
 
     def __init__(self, ctx, n, terms=None, part="g"):
-        self.ctx = ctx
         self.n = n
         self.part = part
-        clean = {}
-        for mono, c in (terms or {}).items():
-            c = ctx.coerce(c)
-            if not c.is_zero:
-                clean[mono] = c
-        self.terms = clean
+        super().__init__(ctx, terms)
 
     @classmethod
     def unit(cls, ctx, n, part="g"):
@@ -190,56 +186,26 @@ class UEAElement:
         eng = engine(n, part)
         return cls(ctx, n, {eng.monomial_of_word(eng.word_of([b])): ctx.one}, part)
 
-    def _check(self, other):
-        if self.ctx is not other.ctx or self.n != other.n or self.part != other.part:
-            raise ValueError("elements from different enveloping algebras")
-
+    # per-class entry points; see oak.combination
     def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            v = out.get(mono, self.ctx.zero) + c
-            if v.is_zero:
-                out.pop(mono, None)
-            else:
-                out[mono] = v
-        return UEAElement(self.ctx, self.n, out, self.part)
+        return super().__add__(other)
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return super().__sub__(other)
 
     def scale(self, c):
-        c = self.ctx.coerce(c)
-        return UEAElement(
-            self.ctx, self.n, {m: v * c for m, v in self.terms.items()}, self.part
-        )
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, UEAElement):
-            return NotImplemented
-        return (
-            self.ctx is other.ctx
-            and self.n == other.n
-            and self.part == other.part
-            and self.terms == other.terms
-        )
+        return super().scale(c)
 
     def degree(self):
         return max((sum(e for _, e in m) for m in self.terms), default=0)
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (sum(e for _, e in kv[0]), kv[0]))
+        return sorted(self.terms.items(), key=_by_degree)
 
     def __str__(self):
         from .syntax import format_uea
 
         return format_uea(self)
-
-    __repr__ = __str__
 
 
 def normal_order(ctx, word, n, strategy="rightmost", rng=None, part="g"):
@@ -256,7 +222,6 @@ def multiply(u, v):
     """Associative product; agrees with normal_order on products of monomials."""
     u._check(v)
     eng = engine(u.n, u.part)
-    ctx = u.ctx
     out = {}
     for m1, c1 in u.terms.items():
         w1 = eng.word_of_monomial(m1)
@@ -264,21 +229,16 @@ def multiply(u, v):
             c12 = c1 * c2
             raw = eng.normal_word(w1 + eng.word_of_monomial(m2))
             for mono, c in raw.items():
-                val = out.get(mono, ctx.zero) + c12 * c
-                if val.is_zero:
-                    out.pop(mono, None)
-                else:
-                    out[mono] = val
-    return UEAElement(ctx, u.n, out, u.part)
+                cur = out.get(mono)
+                out[mono] = c12 * c if cur is None else cur + c12 * c
+    return u._like(out)
 
 
 def reduce_central(u):
     """Substitute s^2 for the central element z; the result carries no z factor."""
     if u.part != "g":
         raise ValueError("only the full enveloping algebra contains z")
-    eng = engine(u.n, "g")
-    zi = eng.z_index
-    ctx = u.ctx
+    zi = engine(u.n, "g").z_index
     out = {}
     for mono, c in u.terms.items():
         ze = 0
@@ -289,84 +249,39 @@ def reduce_central(u):
             else:
                 kept.append((idx, e))
         if ze:
-            c = c * ctx.zdot ** ze
+            c = c * u.ctx.zdot ** ze
         mono = tuple(kept)
-        val = out.get(mono, ctx.zero) + c
-        if val.is_zero:
-            out.pop(mono, None)
-        else:
-            out[mono] = val
-    return UEAElement(ctx, u.n, out, "g")
+        cur = out.get(mono)
+        out[mono] = c if cur is None else cur + c
+    return u._like(out)
 
 
-class VermaVector:
+class VermaVector(Combination):
     """Element of the Verma module with highest weight lambda.
 
     Terms are PBW monomials in negative root vectors only, applied to the
     highest-weight generator.
     """
 
-    __slots__ = ("ctx", "n", "weight", "terms")
+    __slots__ = ("n", "weight")
+    SPACE = ("n", "weight")
 
     def __init__(self, ctx, n, weight, terms=None):
         if weight.n != n:
             raise ValueError("weight rank mismatch")
-        self.ctx = ctx
         self.n = n
         self.weight = weight
-        eng = engine(n, "g")
-        clean = {}
-        for mono, c in (terms or {}).items():
-            neg, car, pos = eng.split_blocks(mono)
-            if car or pos:
-                raise ValueError(f"monomial {mono} is not supported on n_- only")
-            c = ctx.coerce(c)
-            if not c.is_zero:
-                clean[mono] = c
-        self.terms = clean
+        super().__init__(ctx, terms)
+
+    def _key(self, mono):
+        neg, car, pos = engine(self.n, "g").split_blocks(mono)
+        if car or pos:
+            raise ValueError(f"monomial {mono} is not supported on n_- only")
+        return mono
 
     @classmethod
     def highest(cls, ctx, n, weight):
         return cls(ctx, n, weight, {(): ctx.one})
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        if (
-            self.ctx is not other.ctx
-            or self.n != other.n
-            or self.weight != other.weight
-        ):
-            raise ValueError("vectors from different Verma modules")
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            v = out.get(mono, self.ctx.zero) + c
-            if v.is_zero:
-                out.pop(mono, None)
-            else:
-                out[mono] = v
-        return VermaVector(self.ctx, self.n, self.weight, out)
-
-    def scale(self, c):
-        c = self.ctx.coerce(c)
-        return VermaVector(
-            self.ctx, self.n, self.weight, {m: v * c for m, v in self.terms.items()}
-        )
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __eq__(self, other):
-        if not isinstance(other, VermaVector):
-            return NotImplemented
-        return (
-            self.ctx is other.ctx
-            and self.n == other.n
-            and self.weight == other.weight
-            and self.terms == other.terms
-        )
 
     def term_weight(self, mono):
         """Weight of one term: lambda plus the (negative) roots of its factors."""
@@ -374,12 +289,13 @@ class VermaVector:
         off = eng.mono_weight(mono)
         return self.weight.shift(off)
 
+    def sorted_terms(self):
+        return sorted(self.terms.items(), key=_by_degree)
+
     def __str__(self):
         from .syntax import format_verma
 
         return format_verma(self)
-
-    __repr__ = __str__
 
 
 def act_on_verma(u, v):
@@ -410,9 +326,6 @@ def act_on_verma(u, v):
                         factor = factor * lam.zdot ** e
                     else:
                         factor = factor * lam.values[idx - eng.neg_end] ** e
-                val = out.get(neg, ctx.zero) + cuv * factor
-                if val.is_zero:
-                    out.pop(neg, None)
-                else:
-                    out[neg] = val
-    return VermaVector(ctx, u.n, lam, out)
+                cur = out.get(neg)
+                out[neg] = cuv * factor if cur is None else cur + cuv * factor
+    return v._like(out)

@@ -17,27 +17,27 @@ from functools import lru_cache
 from itertools import product as _cartesian
 from math import comb, factorial
 
+from .combination import Combination
 
 
-class WeylElement:
+class WeylElement(Combination):
     """Sparse normally ordered operator: sum of c * t^alpha d^beta."""
 
-    __slots__ = ("ctx", "n", "terms")
+    __slots__ = ("n",)
+    SPACE = ("n",)
 
     def __init__(self, ctx, n, terms=None):
-        self.ctx = ctx
         self.n = n
-        clean = {}
-        for (alpha, beta), c in (terms or {}).items():
-            alpha, beta = tuple(alpha), tuple(beta)
-            if len(alpha) != n or len(beta) != n:
-                raise ValueError("exponent length does not match the rank")
-            if any(e < 0 for e in alpha + beta):
-                raise ValueError("Weyl monomials use nonnegative exponents")
-            c = ctx.coerce(c)
-            if not c.is_zero:
-                clean[(alpha, beta)] = c
-        self.terms = clean
+        super().__init__(ctx, terms)
+
+    def _key(self, key):
+        alpha, beta = key
+        alpha, beta = tuple(alpha), tuple(beta)
+        if len(alpha) != self.n or len(beta) != self.n:
+            raise ValueError("exponent length does not match the rank")
+        if any(e < 0 for e in alpha + beta):
+            raise ValueError("Weyl monomials use nonnegative exponents")
+        return alpha, beta
 
     @classmethod
     def unit(cls, ctx, n):
@@ -56,32 +56,18 @@ class WeylElement:
         beta = tuple(power if k == i - 1 else 0 for k in range(n))
         return cls(ctx, n, {((0,) * n, beta): ctx.one})
 
-    def _check(self, other):
-        if self.ctx is not other.ctx or self.n != other.n:
-            raise ValueError("operators from different contexts or ranks")
-
+    # per-class entry points; see oak.combination
     def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            v = out.get(key, self.ctx.zero) + c
-            if v.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = v
-        return WeylElement(self.ctx, self.n, out)
+        return super().__add__(other)
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return super().__sub__(other)
 
     def __neg__(self):
-        return self.scale(-1)
+        return super().__neg__()
 
     def scale(self, c):
-        c = self.ctx.coerce(c)
-        return WeylElement(
-            self.ctx, self.n, {k: v * c for k, v in self.terms.items()}
-        )
+        return super().scale(c)
 
     def __mul__(self, other):
         if isinstance(other, WeylElement):
@@ -96,24 +82,10 @@ class WeylElement:
             out = weyl_multiply(out, self)
         return out
 
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, WeylElement):
-            return NotImplemented
-        return self.ctx is other.ctx and self.n == other.n and self.terms == other.terms
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0])
-
     def __str__(self):
         from .syntax import format_weyl
 
         return format_weyl(self)
-
-    __repr__ = __str__
 
 
 def _check_index(i, n):
@@ -151,7 +123,6 @@ def weyl_mono_product(key1, key2):
 def weyl_multiply(p, q):
     """Canonical normal form of the product pq."""
     p._check(q)
-    ctx, n = p.ctx, p.n
     out = {}
     for kp, cp in p.terms.items():
         for kq, cq in q.terms.items():
@@ -160,7 +131,7 @@ def weyl_multiply(p, q):
                 add = base if coef == 1 else base * coef
                 cur = out.get(key)
                 out[key] = add if cur is None else cur + add
-    return WeylElement(ctx, n, {k: v for k, v in out.items() if not v.is_zero})
+    return p._like(out)
 
 
 def weyl_commutator(p, q):
@@ -235,24 +206,21 @@ class ShaleWeil(QuotientModule):
         return "S"
 
 
-class LaurentVector:
+class LaurentVector(Combination):
     """Vector sum of c * t^(a+m) with a fixed base exponent a."""
 
-    __slots__ = ("ctx", "base", "terms")
+    __slots__ = ("base",)
+    SPACE = ("base",)
 
     def __init__(self, ctx, base, terms=None):
-        self.ctx = ctx
         self.base = tuple(ctx.coerce(b) for b in base)
-        n = len(self.base)
-        clean = {}
-        for off, c in (terms or {}).items():
-            off = tuple(int(x) for x in off)
-            if len(off) != n:
-                raise ValueError("offset length does not match the rank")
-            c = ctx.coerce(c)
-            if not c.is_zero:
-                clean[off] = c
-        self.terms = clean
+        super().__init__(ctx, terms)
+
+    def _key(self, off):
+        off = tuple(int(x) for x in off)
+        if len(off) != len(self.base):
+            raise ValueError("offset length does not match the rank")
+        return off
 
     @classmethod
     def monomial(cls, module, off, coeff=1):
@@ -264,45 +232,15 @@ class LaurentVector:
     def rank(self):
         return len(self.base)
 
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def _check(self, other):
-        if self.ctx is not other.ctx or self.base != other.base:
-            raise ValueError("vectors from different modules")
-
+    # per-class entry points; see oak.combination
     def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for off, c in other.terms.items():
-            v = out.get(off, self.ctx.zero) + c
-            if v.is_zero:
-                out.pop(off, None)
-            else:
-                out[off] = v
-        return LaurentVector(self.ctx, self.base, out)
+        return super().__add__(other)
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return super().__sub__(other)
 
     def scale(self, c):
-        c = self.ctx.coerce(c)
-        return LaurentVector(
-            self.ctx, self.base, {o: v * c for o, v in self.terms.items()}
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentVector):
-            return NotImplemented
-        return (
-            self.ctx is other.ctx
-            and self.base == other.base
-            and self.terms == other.terms
-        )
-
-    def sorted_terms(self):
-        return sorted(self.terms.items())
+        return super().scale(c)
 
     def __str__(self):
         if not self.terms:
@@ -310,8 +248,6 @@ class LaurentVector:
         return " + ".join(
             f"({c})*t^{list(off)}" for off, c in self.sorted_terms()
         )
-
-    __repr__ = __str__
 
 
 def apply(p, v, m):
@@ -352,9 +288,7 @@ def apply(p, v, m):
                 c = c * fac
             cur = out.get(new)
             out[new] = c if cur is None else cur + c
-    return LaurentVector(
-        ctx, v.base, {k: c for k, c in out.items() if not c.is_zero}
-    )
+    return v._like(out)
 
 
 def apply_inverse_lowering(v, i, m, power=1):
@@ -385,8 +319,8 @@ def apply_inverse_lowering(v, i, m, power=1):
         if power % 2:
             c = -c
         new = off[:i - 1] + (off[i - 1] + 2 * power,) + off[i:]
-        out[new] = out.get(new, ctx.zero) + c
-    return LaurentVector(ctx, v.base, {k: v2 for k, v2 in out.items() if not v2.is_zero})
+        out[new] = c
+    return v._like(out)
 
 
 # ---------------------------------------------------------------------------
