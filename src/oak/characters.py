@@ -10,9 +10,12 @@ reference weights of different modules stay on the integer lattice.
 
 from __future__ import annotations
 
+import numbers
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product as _cartesian
+from operator import add
 
 from .liealg import Weight, root_system
 from .scalars import ParseError
@@ -33,16 +36,13 @@ class CharTable:
 
     def __init__(self, ref, box, entries=None):
         self.ref = ref
-        self.box = tuple((int(lo), int(hi)) for lo, hi in box)
-        if len(self.box) != ref.n:
-            raise ValueError("box rank does not match the reference weight")
-        for lo, hi in self.box:
-            if lo > hi:
-                raise ValueError("empty box")
+        self.box = _check_box(box, ref.n)
         clean = {}
         for off, mult in (entries or {}).items():
-            off = tuple(int(c) for c in off)
-            mult = int(mult)
+            off = tuple(_integer(c, "offset coordinate") for c in off)
+            mult = _integer(mult, "multiplicity")
+            if len(off) != ref.n:
+                raise ValueError(f"offset {off} does not match the rank {ref.n}")
             if mult < 0:
                 raise ValueError("multiplicities are nonnegative")
             if not self.contains(off):
@@ -50,6 +50,16 @@ class CharTable:
             if mult:
                 clean[off] = mult
         self.entries = clean
+
+    @classmethod
+    def _trusted(cls, ref, box, entries):
+        """A table from an already valid box and entries: integer offsets of
+        the right rank inside the box, positive integer multiplicities."""
+        out = object.__new__(cls)
+        out.ref = ref
+        out.box = box
+        out.entries = entries
+        return out
 
     @property
     def n(self):
@@ -86,10 +96,10 @@ class CharTable:
             tuple(c + s for c, s in zip(off, shift)): m
             for off, m in self.entries.items()
         }
-        return CharTable(new_ref, box, entries)
+        return CharTable._trusted(new_ref, box, entries)
 
     def crop(self, box):
-        box = tuple((int(lo), int(hi)) for lo, hi in box)
+        box = _check_box(box, self.n)
         for (lo, hi), (slo, shi) in zip(box, self.box):
             if lo < slo or hi > shi:
                 raise ValueError("cannot crop beyond the exact box")
@@ -98,13 +108,13 @@ class CharTable:
             for off, m in self.entries.items()
             if all(lo <= c <= hi for c, (lo, hi) in zip(off, box))
         }
-        return CharTable(self.ref, box, entries)
+        return CharTable._trusted(self.ref, box, entries)
 
     def shifted_ref(self, vec, denom=1, zdot=None):
         ref = self.ref.shift(vec, denom)
         if zdot is not None:
             ref = Weight(ref.ctx, ref.values, zdot)
-        return CharTable(ref, self.box, self.entries)
+        return CharTable._trusted(ref, self.box, dict(self.entries))
 
     def __eq__(self, other):
         if not isinstance(other, CharTable):
@@ -136,11 +146,33 @@ class CharTable:
                 [ctx.parse(v) for v in data["reference_weight"]["h"]],
                 ctx.parse(data["reference_weight"]["z"]),
             )
-            box = [tuple(pair) for pair in data["box"]]
-            entries = {tuple(e["offset"]): e["mult"] for e in data["entries"]}
-            return cls(ref, box, entries)
-        except (KeyError, TypeError) as e:
+            entries = {}
+            for e in data["entries"]:
+                off = tuple(e["offset"])
+                if off in entries:
+                    raise ValueError(f"offset {list(off)} appears twice")
+                entries[off] = e["mult"]
+            return cls(ref, data["box"], entries)
+        except (KeyError, TypeError, ValueError) as e:
             raise ParseError(f"malformed character table: {e!r}")
+
+
+def _integer(value, what):
+    """``value`` as an int; bools, floats and fractions are refused, never
+    truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _check_box(box, n):
+    """A box of rank n as a tuple of integer (lo, hi) pairs with lo <= hi."""
+    box = tuple((_integer(lo, "box bound"), _integer(hi, "box bound")) for lo, hi in box)
+    if len(box) != n:
+        raise ValueError("box rank does not match the reference weight")
+    if any(lo > hi for lo, hi in box):
+        raise ValueError("empty box")
+    return box
 
 
 def compare_characters(a, b, window=None):
@@ -273,14 +305,8 @@ def verma_char(lam, algebra, depth):
     if depth < 1:
         raise ValueError("depth must be >= 1")
     n = lam.n
-    roots = positive_roots(n, algebra)
     box = ((-2 * depth, 2 * depth),) * n
-    entries = {}
-    for mu in _cartesian(range(-depth, depth + 1), repeat=n):
-        k = kostant_partition(mu, roots)
-        if k:
-            entries[tuple(-2 * c for c in mu)] = k
-    return CharTable(lam, box, entries)
+    return _induced_char(delta_char(lam), positive_roots(n, algebra), box)
 
 
 def char_module(m, depth):
@@ -310,34 +336,49 @@ def char_module(m, depth):
         else:
             axes.append(range(-2 * depth, 2 * depth + 1, 2))
     entries = {off: 1 for off in _cartesian(*axes)}
-    return CharTable(ref, box, entries)
+    return CharTable._trusted(ref, box, entries)
 
 
-def convolve(a, b):
+def convolve(a, b, box=None):
     """Character of a tensor product: (a*b)(nu) = sum over alpha+beta = nu.
 
-    Sums the stored entries only; the result box is the Minkowski sum, which
-    is exact wherever every contributing pair lies inside the factor boxes.
-    The factorization verifiers inflate and crop to guarantee that.
+    Sums the stored entries only, and only the pairs that land in ``box``
+    (default: the Minkowski sum of the two boxes): for each entry of ``a`` it
+    visits the offsets of ``b`` in the per-coordinate ranges that reach the
+    box.  The result is exact on ``box`` wherever every contributing pair
+    lies inside the factor boxes; the factorization verifiers build their
+    factors to guarantee that.
     """
     if a.n != b.n:
         raise ValueError("rank mismatch")
-    ref = a.ref + b.ref
-    box = tuple(
-        (al + bl, ah + bh) for (al, ah), (bl, bh) in zip(a.box, b.box)
-    )
+    if box is None:
+        box = tuple(
+            (al + bl, ah + bh) for (al, ah), (bl, bh) in zip(a.box, b.box)
+        )
+    else:
+        box = _check_box(box, a.n)
+    # the distinct values each coordinate of b takes, so a range clipped to
+    # the box skips the lattice points b never occupies
+    coords = [sorted(set(values)) for values in zip(*b.entries)]
+    b_get = b.entries.get
     entries = {}
     for oa, ma in a.entries.items():
-        for ob, mb in b.entries.items():
-            off = tuple(x + y for x, y in zip(oa, ob))
-            entries[off] = entries.get(off, 0) + ma * mb
-    return CharTable(ref, box, entries)
+        axes = [
+            vals[bisect_left(vals, lo - c):bisect_right(vals, hi - c)]
+            for c, (lo, hi), vals in zip(oa, box, coords)
+        ]
+        for ob in _cartesian(*axes):
+            mb = b_get(ob)
+            if mb:
+                off = tuple(map(add, oa, ob))
+                entries[off] = entries.get(off, 0) + ma * mb
+    return CharTable._trusted(a.ref + b.ref, box, entries)
 
 
 def delta_char(weight):
     """The character of a one-dimensional module concentrated at ``weight``."""
     n = weight.n
-    return CharTable(weight, ((0, 0),) * n, {(0,) * n: 1})
+    return CharTable._trusted(weight, ((0, 0),) * n, {(0,) * n: 1})
 
 
 def generalized_verma_char(v_char, algebra, depth):
@@ -349,19 +390,27 @@ def generalized_verma_char(v_char, algebra, depth):
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    n = v_char.n
-    roots = lowering_roots(n, algebra)
     box = tuple((lo - 2 * depth, hi + 2 * depth) for lo, hi in v_char.box)
-    parities = {tuple(c % 2 for c in off) for off in v_char.entries}
+    return _induced_char(v_char, lowering_roots(v_char.n, algebra), box)
+
+
+def _induced_char(top, roots, box):
+    """Top character times the partition function of ``-roots`` on ``box``.
+
+    The multiplicity at nu is the sum over top offsets alpha of
+    mult(alpha) * P((alpha - nu) / 2), computed exactly from the cone at
+    every offset of the box whatever its corners.
+    """
+    parities = {tuple(c % 2 for c in off) for off in top.entries}
     entries = {}
     for parity in sorted(parities):
         axes = [
-            range(lo + (parity[i] - lo) % 2, hi + 1, 2)
-            for i, (lo, hi) in enumerate(box)
+            range(lo + (p - lo) % 2, hi + 1, 2)
+            for p, (lo, hi) in zip(parity, box)
         ]
         for nu in _cartesian(*axes):
             total = 0
-            for alpha, mult in v_char.entries.items():
+            for alpha, mult in top.entries.items():
                 diff = tuple(a - x for a, x in zip(alpha, nu))
                 if any(c % 2 for c in diff):
                     continue
@@ -369,8 +418,8 @@ def generalized_verma_char(v_char, algebra, depth):
                     tuple(c // 2 for c in diff), roots
                 )
             if total:
-                entries[nu] = entries.get(nu, 0) + total
-    return CharTable(v_char.ref, box, entries)
+                entries[nu] = total
+    return CharTable._trusted(top.ref, box, entries)
 
 
 def finite_simple_sp_char(lam, depth):
@@ -413,7 +462,7 @@ def finite_simple_sp_char(lam, depth):
             raise RuntimeError("negative multiplicity; formula misused")
         if total:
             entries[tuple(-2 * c for c in mu)] = total
-    return CharTable(lam, box, entries)
+    return CharTable._trusted(lam, box, entries)
 
 
 def _perm_sign(perm):
@@ -464,6 +513,23 @@ class FactorizationReport:
         }
 
 
+def _times_shale_weil(top, roots, upper, margin, window):
+    """ch M_sp(top) * ch S on ``window``, both factors built to ``margin``.
+
+    A pair lands in the window only if its sp offset is at least the window's
+    low corner minus the largest offset of the S table, so the sp factor is
+    computed from that corner (taken from the S table as built) up to
+    ``upper`` and nowhere below it.
+    """
+    n = top.n
+    s_table = char_module(ShaleWeil(top.ref.ctx, n), margin)
+    s_top = [max(c) for c in zip(*s_table.entries)]
+    box = tuple(
+        (lo - st, hi) for (lo, _), st, hi in zip(window, s_top, upper)
+    )
+    return convolve(_induced_char(top, roots, box), s_table, window)
+
+
 def verify_verma_factorization(lam, n, depth):
     """Check ch M(lambda) = ch M_sp(lambda + half_sum) * ch S exactly.
 
@@ -472,21 +538,22 @@ def verify_verma_factorization(lam, n, depth):
     """
     if lam.n != n:
         raise ValueError("weight rank mismatch")
-    ctx = lam.ctx
-    if lam.zdot != ctx.zdot:
+    if lam.zdot != lam.ctx.zdot:
         raise ValueError("the factorization holds at central charge s^2")
+    return _report("verma", n, depth, *_verma_sides(lam, n, depth))
+
+
+def _verma_sides(lam, n, depth):
+    """The left side and the window-restricted right side of the identity."""
+    ctx = lam.ctx
     lhs = verma_char(lam, "g", depth)
     margin = max(n * depth, depth)
     lam_sp = Weight(ctx, tuple(v + _HALF for v in lam.values), ctx.rational(0))
-    rhs = convolve(
-        verma_char(lam_sp, "sp", margin),
-        char_module(ShaleWeil(ctx, n), margin),
-    ).crop(lhs.box)
-    refs_match = rhs.ref == lhs.ref
-    ok, mismatches = compare_characters(lhs, rhs)
-    return FactorizationReport(
-        "verma", n, depth, lhs.box, refs_match, mismatches
+    rhs = _times_shale_weil(
+        delta_char(lam_sp), positive_roots(n, "sp"), (2 * margin,) * n,
+        margin, lhs.box,
     )
+    return lhs, rhs
 
 
 def verify_generalized_factorization(v_char, n, depth):
@@ -498,21 +565,30 @@ def verify_generalized_factorization(v_char, n, depth):
     """
     if v_char.n != n:
         raise ValueError("rank mismatch")
-    ctx = v_char.ref.ctx
-    if v_char.ref.zdot != ctx.zdot:
+    if v_char.ref.zdot != v_char.ref.ctx.zdot:
         raise ValueError("the factorization holds at central charge s^2")
+    return _report(
+        "generalized-verma", n, depth, *_generalized_sides(v_char, n, depth)
+    )
+
+
+def _generalized_sides(v_char, n, depth):
+    """The left side and the window-restricted right side of the identity."""
     lhs = generalized_verma_char(v_char, "g", depth)
     vdiam = max(hi - lo for lo, hi in v_char.box)
     margin = n * depth + vdiam + 1
-    v_sp = v_char.shifted_ref((1,) * n, 2, ctx.rational(0))
-    rhs = convolve(
-        generalized_verma_char(v_sp, "sp", margin),
-        char_module(ShaleWeil(ctx, n), margin),
-    ).crop(lhs.box)
-    refs_match = rhs.ref == lhs.ref
+    v_sp = v_char.shifted_ref((1,) * n, 2, v_char.ref.ctx.rational(0))
+    rhs = _times_shale_weil(
+        v_sp, lowering_roots(n, "sp"),
+        tuple(hi + 2 * margin for _, hi in v_sp.box), margin, lhs.box,
+    )
+    return lhs, rhs
+
+
+def _report(kind, n, depth, lhs, rhs):
     ok, mismatches = compare_characters(lhs, rhs)
     return FactorizationReport(
-        "generalized-verma", n, depth, lhs.box, refs_match, mismatches
+        kind, n, depth, lhs.box, rhs.ref == lhs.ref, mismatches
     )
 
 

@@ -97,6 +97,32 @@ def _parse_int_vector(text, n, what):
         raise ParseError(f"bad {what} entry: {e}")
 
 
+def _parse_vector(text, ctx):
+    """--vector JSON: a list of {"offset": [int, ...], "coefficient": c}."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"bad vector JSON: {e}")
+    if not isinstance(data, list):
+        raise ParseError("bad vector JSON: expected a list of terms")
+    terms = {}
+    for entry in data:
+        if not (isinstance(entry, dict) and {"offset", "coefficient"} <= entry.keys()):
+            raise ParseError(
+                f"bad vector JSON: term {entry!r} is not an object "
+                "with an offset and a coefficient"
+            )
+        off = entry["offset"]
+        if not isinstance(off, list) or not all(type(c) is int for c in off):
+            raise ParseError(
+                f"bad vector JSON: offset {off!r} is not a list of integers"
+            )
+        if tuple(off) in terms:
+            raise ParseError(f"bad vector JSON: offset {off} appears twice")
+        terms[tuple(off)] = ctx.parse(str(entry["coefficient"]))
+    return terms
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -135,15 +161,7 @@ def cmd_act(args):
     ctx = _context(args, auto)
     module = parse_module_descriptor(args.module, ctx, args.rank)
     op = parse_weyl_element(args.op, ctx, args.rank)
-    try:
-        data = json.loads(args.vector)
-        terms = {
-            tuple(entry["offset"]): ctx.parse(str(entry["coefficient"]))
-            for entry in data
-        }
-    except (json.JSONDecodeError, KeyError, TypeError) as e:
-        raise ParseError(f"bad vector JSON: {e}")
-    v = LaurentVector(ctx, module.base, terms)
+    v = LaurentVector(ctx, module.base, _parse_vector(args.vector, ctx))
     module.check_vector(v)
     result = apply(op, v, module)
     out = [

@@ -12,6 +12,31 @@ TABLES = {
         "box": [[-2, 2]],
         "entries": [{"offset": [0]}],
     },
+    "offset-of-wrong-rank": {
+        "reference_weight": {"h": ["0"], "z": "s^2"},
+        "box": [[-2, 2]],
+        "entries": [{"offset": [0, 9], "mult": 1}],
+    },
+    "fractional-offset": {
+        "reference_weight": {"h": ["0"], "z": "s^2"},
+        "box": [[-2, 2]],
+        "entries": [{"offset": [1.5], "mult": 1}],
+    },
+    "fractional-mult": {
+        "reference_weight": {"h": ["0"], "z": "s^2"},
+        "box": [[-2, 2]],
+        "entries": [{"offset": [0], "mult": 1.7}],
+    },
+    "repeated-offset": {
+        "reference_weight": {"h": ["0"], "z": "s^2"},
+        "box": [[-2, 2]],
+        "entries": [{"offset": [0], "mult": 1}, {"offset": [0], "mult": 0}],
+    },
+    "fractional-box": {
+        "reference_weight": {"h": ["0"], "z": "s^2"},
+        "box": [[-2.5, 2]],
+        "entries": [],
+    },
 }
 
 

@@ -30,6 +30,14 @@ CASES = {
         "--samples", "1", "--seed", "0",
     ],
     "verify-prop8b": ["verify-prop8b", "--rank", "2", "--depth", "3"],
+    "verify-prop4b-rank3": [
+        "verify-prop4b", "--rank", "3", "--depth", "2",
+        "--samples", "1", "--seed", "0",
+    ],
+    "verify-prop8b-rank3": [
+        "verify-prop8b", "--rank", "3", "--depth", "2",
+        "--v-weight", "1/2,0,-1/3",
+    ],
 }
 
 
