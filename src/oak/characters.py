@@ -10,13 +10,13 @@ reference weights of different modules stay on the integer lattice.
 
 from __future__ import annotations
 
-import numbers
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product as _cartesian
 from operator import add
 
+from .combination import checked_int
 from .liealg import Weight, root_system
 from .scalars import ParseError
 from .weyl import ModuleDescriptor, ShaleWeil
@@ -39,8 +39,8 @@ class CharTable:
         self.box = _check_box(box, ref.n)
         clean = {}
         for off, mult in (entries or {}).items():
-            off = tuple(_integer(c, "offset coordinate") for c in off)
-            mult = _integer(mult, "multiplicity")
+            off = tuple(checked_int(c, "offset coordinate") for c in off)
+            mult = checked_int(mult, "multiplicity")
             if len(off) != ref.n:
                 raise ValueError(f"offset {off} does not match the rank {ref.n}")
             if mult < 0:
@@ -157,17 +157,9 @@ class CharTable:
             raise ParseError(f"malformed character table: {e!r}")
 
 
-def _integer(value, what):
-    """``value`` as an int; bools, floats and fractions are refused, never
-    truncated."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _check_box(box, n):
     """A box of rank n as a tuple of integer (lo, hi) pairs with lo <= hi."""
-    box = tuple((_integer(lo, "box bound"), _integer(hi, "box bound")) for lo, hi in box)
+    box = tuple((checked_int(lo, "box bound"), checked_int(hi, "box bound")) for lo, hi in box)
     if len(box) != n:
         raise ValueError("box rank does not match the reference weight")
     if any(lo > hi for lo, hi in box):

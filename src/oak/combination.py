@@ -15,6 +15,16 @@ counts each element type's arithmetic apart.
 
 from __future__ import annotations
 
+import numbers
+
+
+def checked_int(value, what):
+    """``value`` as an int for a key coordinate; bools, floats and fractions
+    are refused, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
 
 class Combination:
     """Sparse combination of keys; ``terms`` never holds a zero coefficient."""

@@ -466,12 +466,20 @@ def conjugation_twist_action(g, spec, v, module):
     for i, p in powers:
         if p:
             w = apply_inverse_lowering(w, i, module, p)
-    w = apply(f_map(LieElement.from_basis(ctx, n, g)), w, module)
+    w = apply(f_basis(ctx, n, g), w, module)
     for i, p in powers:
         if p:
-            op = f_basis(ctx, n, _lowering_element(i, n)) ** p
-            w = apply(op, w, module)
+            w = apply(_lowering_power(ctx, n, i, p), w, module)
     return w
+
+
+def _lowering_power(ctx, n, i, p):
+    """f(X_{-2e_i})^p, memoized on ctx; only the conjugation oracle uses it,
+    so the twist series it is compared with never sees it."""
+    key = ("f_pow", n, i, p)
+    if key not in ctx.memo:
+        ctx.memo[key] = f_basis(ctx, n, _lowering_element(i, n)) ** p
+    return ctx.memo[key]
 
 
 @dataclass

@@ -4,8 +4,18 @@ Every computation declares its symbol set up front (the central-charge symbol
 ``s`` is always present; the central element acts by ``s^2`` throughout the
 package).  Scalars are kept in canonical reduced form, so equality is
 syntactic and decidable.  The reduction itself is delegated to sympy's sparse
-polynomial rings; this module owns the fixed symbol ordering, the exact
-substitution rule, and the ``^``/``/`` surface syntax used by the CLI.
+polynomial rings; this module owns the fixed symbol ordering, the canonical
+form, the exact substitution rule, and the ``^``/``/`` surface syntax used by
+the CLI.
+
+The canonical form is sympy's reduced fraction with one change: a constant
+denominator c is folded into the numerator (whose coefficients become
+rationals) and replaced by the context's one shared unit polynomial.  So
+every polynomial, including the ubiquitous ones with a 1/2 in them, is a
+numerator over that unit, and polynomial arithmetic is plain ring arithmetic
+with no gcd.  Only a fraction with a non-constant denominator goes through
+sympy's field arithmetic and its ``cancel``.  Printing and ordering undo the
+fold, so they see exactly sympy's pair.
 """
 
 from __future__ import annotations
@@ -53,12 +63,17 @@ class ScalarContext:
         self.symbols = symbols
         self._field, *gens = _sympy_field(",".join(symbols), QQ)
         self._ring = self._field.ring
+        # the denominator of every scalar whose reduced denominator is a
+        # constant; kept once because PolyRing.one is a new object on every
+        # access, and the polynomial fast paths test for it by identity
+        self._unit = self._ring.one
         self._index = {name: k for k, name in enumerate(symbols)}
-        self.zero = Scalar(self, self._field.zero)
-        self.one = Scalar(self, self._field.one)
-        self._gens = {name: Scalar(self, g) for name, g in zip(symbols, gens)}
-        # small-constant cache: coercion of ints and Fractions is hot
-        self._ground = {}
+        # rational constants by value (an int and an equal Fraction share an
+        # entry): coercion of ints and Fractions is hot
+        self._constants = {}
+        self.zero = self._normal(self._field.zero)
+        self.one = self._normal(self._field.one)
+        self._gens = {name: self._normal(g) for name, g in zip(symbols, gens)}
         # images of basis elements and monomials under the realizations
         # (oak.morphisms), which live and die with this context
         self.memo = {}
@@ -82,8 +97,13 @@ class ScalarContext:
         return self._gens["s"] ** 2
 
     def rational(self, p, q=1):
-        fr = Fraction(p, q)
-        return Scalar(self, self._field.ground_new(QQ(fr.numerator, fr.denominator)))
+        key = p if type(p) is int and type(q) is int and q == 1 else Fraction(p, q)
+        value = self._constants.get(key)
+        if value is None:
+            fr = Fraction(key)
+            ground = self._ring.ground_new(QQ(fr.numerator, fr.denominator))
+            value = self._constants[key] = self._poly(ground)
+        return value
 
     def coerce(self, value):
         if isinstance(value, Scalar):
@@ -93,6 +113,21 @@ class ScalarContext:
         if isinstance(value, (int, Fraction)):
             return self.rational(value)
         raise TypeError(f"cannot coerce {value!r} to a scalar")
+
+    def _poly(self, numer):
+        """The scalar of a polynomial with rational coefficients."""
+        return Scalar(self, self._field.raw_new(numer, self._unit))
+
+    def _normal(self, frac):
+        """The scalar of a sympy fraction in sympy's reduced form: a constant
+        denominator is folded into the numerator.  Every scalar is built here
+        or, when it is known to be a polynomial, by ``_poly``."""
+        denom = frac.denom
+        if denom is self._unit:
+            return Scalar(self, frac)
+        if denom.is_ground:
+            return self._poly(frac.numer.quo_ground(denom.LC))
+        return Scalar(self, frac)
 
     def parse(self, text):
         """Parse ``(s^2-1)/2`` style syntax into a scalar."""
@@ -104,7 +139,12 @@ class ScalarContext:
 
 
 class Scalar:
-    """Element of the declared rational-function field, in reduced form."""
+    """Element of the declared rational-function field, in canonical form.
+
+    ``raw`` is a sympy fraction: a polynomial over the context's shared unit
+    when the reduced denominator is a constant (folded into the numerator),
+    else sympy's reduced pair.  Only ``ScalarContext`` builds scalars.
+    """
 
     __slots__ = ("ctx", "raw")
 
@@ -117,31 +157,24 @@ class Scalar:
             if other.ctx is not self.ctx:
                 raise ValueError("scalars from different contexts")
             return other.raw
-        if isinstance(other, int):
-            key = (other, 1)
-        elif isinstance(other, Fraction):
-            key = (other.numerator, other.denominator)
-        else:
-            return None
-        cached = self.ctx._ground.get(key)
-        if cached is None:
-            cached = self.ctx._field.ground_new(QQ(*key))
-            self.ctx._ground[key] = cached
-        return cached
+        if isinstance(other, (int, Fraction)):
+            cached = self.ctx._constants.get(other)
+            if cached is None:
+                cached = self.ctx.rational(other)
+            return cached.raw
+        return None
 
-    # Polynomial fast paths: when both denominators are 1 the ring result is
-    # already canonical, and sympy's per-operation cancel() is pure overhead.
+    # Polynomial fast paths: over the shared unit the ring result is already
+    # canonical, and sympy's per-operation cancel() is pure overhead.
 
     def __add__(self, other):
         raw = self._coerce_raw(other)
         if raw is None:
             return NotImplemented
-        one = self.ctx._ring.one
-        if self.raw.denom == one and raw.denom == one:
-            return Scalar(
-                self.ctx, self.ctx._field.raw_new(self.raw.numer + raw.numer, one)
-            )
-        return Scalar(self.ctx, self.raw + raw)
+        unit = self.ctx._unit
+        if self.raw.denom is unit and raw.denom is unit:
+            return self.ctx._poly(self.raw.numer + raw.numer)
+        return self.ctx._normal(self.raw + raw)
 
     __radd__ = __add__
 
@@ -149,36 +182,32 @@ class Scalar:
         raw = self._coerce_raw(other)
         if raw is None:
             return NotImplemented
-        one = self.ctx._ring.one
-        if self.raw.denom == one and raw.denom == one:
-            return Scalar(
-                self.ctx, self.ctx._field.raw_new(self.raw.numer - raw.numer, one)
-            )
-        return Scalar(self.ctx, self.raw - raw)
+        unit = self.ctx._unit
+        if self.raw.denom is unit and raw.denom is unit:
+            return self.ctx._poly(self.raw.numer - raw.numer)
+        return self.ctx._normal(self.raw - raw)
 
     def __rsub__(self, other):
         raw = self._coerce_raw(other)
         if raw is None:
             return NotImplemented
-        one = self.ctx._ring.one
-        if self.raw.denom == one and raw.denom == one:
-            return Scalar(
-                self.ctx, self.ctx._field.raw_new(raw.numer - self.raw.numer, one)
-            )
-        return Scalar(self.ctx, raw - self.raw)
+        unit = self.ctx._unit
+        if self.raw.denom is unit and raw.denom is unit:
+            return self.ctx._poly(raw.numer - self.raw.numer)
+        return self.ctx._normal(raw - self.raw)
 
     def __mul__(self, other):
         raw = self._coerce_raw(other)
         if raw is None:
             return NotImplemented
-        one = self.ctx._ring.one
-        if self.raw.denom == one and raw.denom == one:
-            return Scalar(
-                self.ctx, self.ctx._field.raw_new(self.raw.numer * raw.numer, one)
-            )
-        return Scalar(self.ctx, self.raw * raw)
+        unit = self.ctx._unit
+        if self.raw.denom is unit and raw.denom is unit:
+            return self.ctx._poly(self.raw.numer * raw.numer)
+        return self.ctx._normal(self.raw * raw)
 
     __rmul__ = __mul__
+
+    # Division by a nonzero constant stays on the polynomial path too.
 
     def __truediv__(self, other):
         raw = self._coerce_raw(other)
@@ -186,7 +215,10 @@ class Scalar:
             return NotImplemented
         if not raw:
             raise ZeroDivisionError("division by zero scalar")
-        return Scalar(self.ctx, self.raw / raw)
+        unit = self.ctx._unit
+        if self.raw.denom is unit and raw.denom is unit and raw.numer.is_ground:
+            return self.ctx._poly(self.raw.numer.quo_ground(raw.numer.LC))
+        return self.ctx._normal(self.raw / raw)
 
     def __rtruediv__(self, other):
         raw = self._coerce_raw(other)
@@ -194,14 +226,23 @@ class Scalar:
             return NotImplemented
         if not self.raw:
             raise ZeroDivisionError("division by zero scalar")
-        return Scalar(self.ctx, raw / self.raw)
+        unit = self.ctx._unit
+        if self.raw.denom is unit and raw.denom is unit and self.raw.numer.is_ground:
+            return self.ctx._poly(raw.numer.quo_ground(self.raw.numer.LC))
+        return self.ctx._normal(raw / self.raw)
 
     def __pow__(self, k):
         if not isinstance(k, int):
             return NotImplemented
-        if k < 0 and not self.raw:
+        if k >= 0:
+            return self.ctx._normal(self.raw ** k)
+        if not self.raw:
             raise ZeroDivisionError("negative power of zero scalar")
-        return Scalar(self.ctx, self.raw ** k)
+        # sympy's negative power only swaps the pair, which leaves a sign or
+        # a rational coefficient in the denominator: reduce it again
+        return self.ctx._normal(
+            self.ctx._field.new(self.raw.denom ** -k, self.raw.numer ** -k)
+        )
 
     def __neg__(self):
         return Scalar(self.ctx, -self.raw)
@@ -209,14 +250,23 @@ class Scalar:
     def __bool__(self):
         return bool(self.raw)
 
+    # Both sides are canonical and of one context, so equality is equality of
+    # the coefficient dicts (which is what sympy's own test comes down to).
+
     def __eq__(self, other):
         raw = self._coerce_raw(other)
         if raw is None:
             return NotImplemented
-        return self.raw == raw
+        return dict.__eq__(self.raw.numer, raw.numer) and (
+            self.raw.denom is raw.denom or dict.__eq__(self.raw.denom, raw.denom)
+        )
 
     def __hash__(self):
-        return hash(self.raw)
+        # not sympy's hash: a polynomial caches its hash on first use, and
+        # PolyElement.square() hashes its result before scaling it in place,
+        # so equal squares could hash apart
+        raw = self.raw
+        return hash((frozenset(raw.numer.items()), frozenset(raw.denom.items())))
 
     @property
     def is_zero(self):
@@ -224,23 +274,16 @@ class Scalar:
 
     @property
     def is_one(self):
-        return self.raw == self.ctx._field.one
+        return self == self.ctx.one
 
     def is_rational(self):
-        # the field keeps rationals split over numer/denom integer polys
-        return (not self.raw.numer or self.raw.numer.is_ground) and (
-            self.raw.denom.is_ground
-        )
+        return self.raw.denom is self.ctx._unit and self.raw.numer.is_ground
 
     def as_fraction(self):
         """Exact rational value; raises if any symbol actually occurs."""
         if not self.is_rational():
             raise ValueError(f"{self} is not a plain rational")
-        if not self.raw.numer:
-            return Fraction(0)
-        num = _to_fraction(self.raw.numer.coeff(1))
-        den = _to_fraction(self.raw.denom.coeff(1))
-        return num / den
+        return _to_fraction(self.raw.numer.coeff(1))
 
     def is_integer(self):
         return self.is_rational() and self.as_fraction().denominator == 1
@@ -291,10 +334,22 @@ class Scalar:
                 out[mon] = out.get(mon, QQ(0)) + coef
             return self.ctx._ring.from_dict(out)
 
+        numer = sub(self.raw.numer)
+        if self.raw.denom is self.ctx._unit:
+            return self.ctx._poly(numer)
         den = sub(self.raw.denom)
         if not den:
             raise ZeroDivisionError("denominator vanishes under substitution")
-        return Scalar(self.ctx, self.ctx._field.new(sub(self.raw.numer), den))
+        return self.ctx._normal(self.ctx._field.new(numer, den))
+
+    def _sympy_pair(self):
+        """sympy's reduced (numerator, denominator): the fold undone.  The
+        lcm of the folded coefficients' denominators is the old constant."""
+        numer, denom = self.raw.numer, self.raw.denom
+        if denom is self.ctx._unit:
+            c, numer = numer.clear_denoms()
+            denom = self.ctx._ring.ground_new(c)
+        return numer, denom
 
     def sort_key(self):
         def poly_key(poly):
@@ -302,13 +357,15 @@ class Scalar:
                 sorted((mon, _to_fraction(c)) for mon, c in poly.terms())
             )
 
-        return (poly_key(self.raw.numer), poly_key(self.raw.denom))
+        numer, denom = self._sympy_pair()
+        return (poly_key(numer), poly_key(denom))
 
     def __str__(self):
-        num = _poly_str(self.raw.numer, self.ctx.symbols)
-        if self.raw.denom == self.ctx._ring.one:
+        numer, denom = self._sympy_pair()
+        num = _poly_str(numer, self.ctx.symbols)
+        if denom == 1:
             return num
-        den = _poly_str(self.raw.denom, self.ctx.symbols)
+        den = _poly_str(denom, self.ctx.symbols)
         if _is_sum(num):
             num = f"({num})"
         if _is_sum(den) or "*" in den or "/" in den:

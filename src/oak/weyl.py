@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import product as _cartesian
 from math import comb, factorial
 
-from .combination import Combination
+from .combination import Combination, checked_int
 
 
 class WeylElement(Combination):
@@ -32,7 +32,8 @@ class WeylElement(Combination):
 
     def _key(self, key):
         alpha, beta = key
-        alpha, beta = tuple(alpha), tuple(beta)
+        alpha = tuple(checked_int(e, "Weyl exponent") for e in alpha)
+        beta = tuple(checked_int(e, "Weyl exponent") for e in beta)
         if len(alpha) != self.n or len(beta) != self.n:
             raise ValueError("exponent length does not match the rank")
         if any(e < 0 for e in alpha + beta):
@@ -217,7 +218,7 @@ class LaurentVector(Combination):
         super().__init__(ctx, terms)
 
     def _key(self, off):
-        off = tuple(int(x) for x in off)
+        off = tuple(checked_int(x, "offset coordinate") for x in off)
         if len(off) != len(self.base):
             raise ValueError("offset length does not match the rank")
         return off
