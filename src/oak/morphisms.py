@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial as _math_factorial
 
-from .combination import Combination
+from .combination import Combination, checked_int
 from .liealg import (
     LieElement,
     basis,
@@ -367,11 +367,17 @@ class LocalizedOperator:
     def __init__(self, ctx, n, terms):
         self.ctx = ctx
         self.n = n
-        self.terms = [
-            (ctx.coerce(c), lie, int(i), int(j))
-            for c, lie, i, j in terms
-            if not ctx.coerce(c).is_zero and not (lie is not None and lie.is_zero)
-        ]
+        self.terms = []
+        for c, lie, i, j in terms:
+            c = ctx.coerce(c)
+            i = checked_int(i, "localized index")
+            j = checked_int(j, "inverse power")
+            if not 1 <= i <= n:
+                raise ValueError(f"index {i} out of range for rank {n}")
+            if j < 0:
+                raise ValueError(f"inverse power {j} is negative")
+            if not c.is_zero and not (lie is not None and lie.is_zero):
+                self.terms.append((c, lie, i, j))
 
     def act(self, v, module):
         out = LaurentVector(v.ctx, v.base)
@@ -456,12 +462,7 @@ def conjugation_twist_action(g, spec, v, module):
     """
     ctx = v.ctx
     n = module.rank
-    powers = []
-    for i, b in zip(spec.indices, spec.b):
-        b = ctx.coerce(b)
-        if not b.is_integer() or b.as_fraction() < 0:
-            raise ValueError("conjugation oracle needs nonnegative integer b")
-        powers.append((i, int(b.as_fraction())))
+    powers = _conjugation_powers(spec, ctx)
     w = v
     for i, p in powers:
         if p:
@@ -471,6 +472,18 @@ def conjugation_twist_action(g, spec, v, module):
         if p:
             w = apply(_lowering_power(ctx, n, i, p), w, module)
     return w
+
+
+def _conjugation_powers(spec, ctx):
+    """(index, b) for each twisted index, b as an int; the oracle is only
+    defined for nonnegative integer parameters."""
+    powers = []
+    for i, b in zip(spec.indices, spec.b):
+        b = ctx.coerce(b)
+        if not b.is_integer() or b.as_fraction() < 0:
+            raise ValueError("conjugation oracle needs nonnegative integer b")
+        powers.append((i, int(b.as_fraction())))
+    return powers
 
 
 def _lowering_power(ctx, n, i, p):
@@ -514,6 +527,15 @@ def verify_theta_conjugation(spec, base, depth, ctx, n):
     a_i with a_i not an integer keeps every division defined).  All basis
     vectors with offsets in the radius-``depth`` box are compared for each
     twistable generator at each twisted index.
+
+    Each probe t^m is scaled by D, the product of every factor
+    (a_k + m_k + r) that either side divides by, so both sides stay
+    polynomials and no gcd is ever taken.  Both sides are linear and D is
+    nonzero, so their difference is D times the unscaled one; a mismatch is
+    reported divided by D again.  If a factor vanishes the probe is not
+    scaled, so the division that fails raises as it would unscaled; with a
+    parameter the oracle refuses, only the series' own factors scale it, and
+    the oracle raises at the first probe.
     """
     module = FullLaurent(ctx, base)
     if module.rank != n:
@@ -525,18 +547,54 @@ def verify_theta_conjugation(spec, base, depth, ctx, n):
             root = [0] * n
             root[i - 1] = c
             gens.append(x_(root))
+    try:
+        powers = _conjugation_powers(spec, ctx)
+    except ValueError:
+        powers = ()  # the oracle raises this at its first probe, if any
     offsets = _box_offsets(n, depth)
+    scales = {}  # D depends only on the offset and the reach, which generators share
     for g in gens:
         op = theta_generator(g, spec, ctx, n)
+        reach = _division_reach(op, powers)
         for off in offsets:
-            v = LaurentVector.monomial(module, off)
+            scale = scales.get((off, reach))
+            if scale is None:
+                scale = scales[off, reach] = _probe_scale(module, off, reach)
+            v = LaurentVector.monomial(module, off, scale)
             lhs = op.act(v, module)
             rhs = conjugation_twist_action(g, spec, v, module)
             report.vectors_checked += 1
             diff = lhs - rhs
             if not diff.is_zero:
-                report.mismatches.append((str(g), off, str(diff)))
+                report.mismatches.append((str(g), off, str(diff.scale(1 / scale))))
     return report
+
+
+def _division_reach(op, powers):
+    """((k, R_k), ...): on a probe t^m, the series ``op`` and the oracle with
+    ``powers`` divide at index k by (a_k + m_k + r) for r = 1..R_k at most."""
+    reach = {i: 2 * p for i, p in powers}
+    for _, _, i, j in op.terms:
+        reach[i] = max(reach.get(i, 0), 2 * j)
+    return tuple(sorted(reach.items()))
+
+
+def _probe_scale(module, off, reach):
+    """D for the probe t^off: the product of the factors in ``reach``, or
+    one if any of them is zero.  Each index's factors are multiplied first,
+    which keeps the products small."""
+    ctx = module.ctx
+    scale = ctx.one
+    for i, top in reach:
+        e = module.base[i - 1] + off[i - 1]
+        part = ctx.one
+        for r in range(1, top + 1):
+            factor = e + r
+            if factor.is_zero:
+                return ctx.one
+            part = part * factor
+        scale = scale * part
+    return scale
 
 
 def _box_offsets(n, depth):

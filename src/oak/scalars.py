@@ -13,8 +13,9 @@ denominator c is folded into the numerator (whose coefficients become
 rationals) and replaced by the context's one shared unit polynomial.  So
 every polynomial, including the ubiquitous ones with a 1/2 in them, is a
 numerator over that unit, and polynomial arithmetic is plain ring arithmetic
-with no gcd.  Only a fraction with a non-constant denominator goes through
-sympy's field arithmetic and its ``cancel``.  Printing and ordering undo the
+with no gcd; so is a division of polynomials that comes out even.  Only a
+fraction with a non-constant denominator goes through sympy's field
+arithmetic and its ``cancel``.  Printing and ordering undo the
 fold, so they see exactly sympy's pair.
 """
 
@@ -207,7 +208,8 @@ class Scalar:
 
     __rmul__ = __mul__
 
-    # Division by a nonzero constant stays on the polynomial path too.
+    # Division by a nonzero constant, and any exact division of polynomials,
+    # stays on the polynomial path too.
 
     def __truediv__(self, other):
         raw = self._coerce_raw(other)
@@ -216,8 +218,12 @@ class Scalar:
         if not raw:
             raise ZeroDivisionError("division by zero scalar")
         unit = self.ctx._unit
-        if self.raw.denom is unit and raw.denom is unit and raw.numer.is_ground:
-            return self.ctx._poly(self.raw.numer.quo_ground(raw.numer.LC))
+        if self.raw.denom is unit and raw.denom is unit:
+            if raw.numer.is_ground:
+                return self.ctx._poly(self.raw.numer.quo_ground(raw.numer.LC))
+            quotient, remainder = self.raw.numer.div(raw.numer)
+            if not remainder:
+                return self.ctx._poly(quotient)
         return self.ctx._normal(self.raw / raw)
 
     def __rtruediv__(self, other):
@@ -234,7 +240,10 @@ class Scalar:
     def __pow__(self, k):
         if not isinstance(k, int):
             return NotImplemented
-        if k >= 0:
+        if k == 0:
+            # as for ints and Fractions, 0 ** 0 is 1 (sympy raises)
+            return self.ctx.one
+        if k > 0:
             return self.ctx._normal(self.raw ** k)
         if not self.raw:
             raise ZeroDivisionError("negative power of zero scalar")

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from oak.cli import main
 from oak.characters import delta_char, generalized_verma_char
 from oak.liealg import Weight
@@ -91,6 +93,23 @@ def test_verify_twist(capsys):
     )
     assert code == 0
     assert json.loads(out)["mismatches"] == []
+
+
+@pytest.mark.parametrize("b", ["-1", "a1", "1/2"])
+def test_verify_twist_refuses_non_natural_parameter(capsys, b):
+    code, out, err = run(
+        capsys, "verify-twist", "--rank", "1", "--b", b, "--depth", "1"
+    )
+    assert code == 2 and out == ""
+    assert err == "error: conjugation oracle needs nonnegative integer b\n"
+
+
+def test_zero_to_the_zero_parses_as_one(capsys):
+    code, out, err = run(
+        capsys, "verma-mult", "--algebra", "g", "--rank", "1",
+        "--lambda", "0^0", "--depth", "2", "--offset", "0",
+    )
+    assert (code, out, err) == (0, "1\n", "")
 
 
 def test_verify_prop4b_deterministic(capsys):

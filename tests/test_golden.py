@@ -21,6 +21,8 @@ CASES = {
     "verify-hom-f": ["verify-hom", "--rank", "2", "--map", "f"],
     "verify-hom-phi": ["verify-hom", "--rank", "2", "--map", "phi"],
     "verify-twist": ["verify-twist", "--rank", "1", "--b", "2", "--depth", "3"],
+    "verify-twist-rank2": ["verify-twist", "--rank", "2", "--b", "3,1", "--depth", "2"],
+    "verify-twist-rank3": ["verify-twist", "--rank", "3", "--b", "1,1,1", "--depth", "1"],
     "verma-mult": [
         "verma-mult", "--algebra", "g", "--rank", "1",
         "--lambda", "0", "--depth", "4", "--offset", "4",

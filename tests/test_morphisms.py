@@ -343,5 +343,8 @@ def test_conjugation_needs_integer_parameters():
 def test_twist_on_integer_base_signals_bad_exponent():
     ctx = ScalarContext(("s",))
     spec = _spec([1], [ctx.rational(1)])
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(
+        ZeroDivisionError,
+        match=r"^localized action undefined: exponent factor vanishes at \(-2,\)$",
+    ):
         verify_theta_conjugation(spec, (ctx.rational(0),), 2, ctx, 1)

@@ -14,14 +14,17 @@ from sympy import QQ
 from sympy.polys.fields import field as sympy_field
 from sympy.polys.rings import PolyElement
 
+from oak import morphisms
 from oak.liealg import LieElement, x_
 from oak.morphisms import (
+    LocalizedOperator,
     TwistSpec,
     _lowering_element,
     conjugation_twist_action,
     f_basis,
     f_map,
     verify_lie_hom,
+    verify_theta_conjugation,
 )
 from oak.scalars import ScalarContext, _is_sum, _poly_str
 from oak.weyl import (
@@ -43,6 +46,8 @@ coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 monomials = st.tuples(st.integers(0, 2), st.integers(0, 2))
 polys = st.dictionaries(monomials, coefficients, max_size=4)
 constants = st.fractions(min_value=-6, max_value=6, max_denominator=6).filter(bool)
+nonzero_polys = polys.filter(lambda d: any(d.values()))
+ONE = {(0, 0): Fraction(1)}
 
 
 @st.composite
@@ -150,6 +155,20 @@ def test_division_matches_reference(a, b):
     assert_same(x / y, x * y ** -1)
 
 
+@given(polys, nonzero_polys)
+def test_exact_quotient_matches_reference(a, b):
+    """A division of polynomials that comes out even stays a polynomial, and
+    any division of polynomials is sympy's reduced fraction."""
+    (x, rx), (y, ry) = build((a, ONE)), build((b, ONE))
+    got = (x * y) / y
+    assert got.raw.denom is CTX._unit
+    assert_matches(got, (rx * ry) / ry)
+    assert_same(got, x)
+    quotient, rq = x / y, rx / ry
+    assert_matches(quotient, rq)
+    assert (quotient.raw.denom is CTX._unit) == rq.denom.is_ground
+
+
 @given(values(), st.integers(-3, 3))
 def test_powers_match_reference(a, k):
     x, r = build(a)
@@ -157,6 +176,8 @@ def test_powers_match_reference(a, k):
         if k < 0:
             with pytest.raises(ZeroDivisionError):
                 x ** k
+        else:
+            assert_same(x ** k, CTX.one)
         return
     got = x ** k
     assert_matches(got, ref_power(r, k))
@@ -196,6 +217,12 @@ def test_negative_power_is_canonical():
     assert_same(CTX.parse("(-2/3)^-1"), CTX.rational(-3, 2))
 
 
+def test_zero_to_the_zero_is_one():
+    assert_same(CTX.zero ** 0, CTX.one)
+    assert_same(CTX.parse("0^0"), CTX.one)
+    assert_same(CTX.parse("(s-s)^0"), CTX.one)
+
+
 def test_equal_squares_hash_alike():
     # sympy's square() caches its result's hash before it finishes building it
     a1 = CTX.symbol("a1")
@@ -227,10 +254,9 @@ def test_constants_are_cached_per_context():
         other.rational(1, 2) + CTX.rational(1, 2)
 
 
-@pytest.mark.parametrize("kind", ["f", "phi"])
-def test_homomorphism_checks_never_cancel(kind, monkeypatch):
-    """The f and phi checks only meet polynomials in s, so every scalar
-    operation stays on the ring path and sympy's gcd is never called."""
+@pytest.fixture
+def cancel_calls(monkeypatch):
+    """A list that grows by one on every call of sympy's gcd cancel."""
     calls = []
     cancel = PolyElement.cancel
 
@@ -239,8 +265,56 @@ def test_homomorphism_checks_never_cancel(kind, monkeypatch):
         return cancel(self, other)
 
     monkeypatch.setattr(PolyElement, "cancel", counting)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["f", "phi"])
+def test_homomorphism_checks_never_cancel(kind, cancel_calls):
+    """The f and phi checks only meet polynomials in s, so every scalar
+    operation stays on the ring path and sympy's gcd is never called."""
     assert verify_lie_hom(kind, 2, ScalarContext(("s",))).ok
-    assert not calls
+    assert not cancel_calls
+
+
+@pytest.mark.parametrize(
+    "n, indices, b, depth", [(1, (1,), (2,), 3), (2, (1, 2), (1, 1), 1)]
+)
+def test_twist_checks_never_cancel(n, indices, b, depth, cancel_calls):
+    """Scaled probes keep both sides of the twist check polynomial: every
+    division by the shifted factors (a_i + m_i + r) comes out even."""
+    ctx = ScalarContext(("s",) + tuple(f"a{i}" for i in range(1, n + 1)))
+    spec = TwistSpec(indices, tuple(ctx.rational(x) for x in b))
+    base = tuple(ctx.symbol(f"a{i}") for i in range(1, n + 1))
+    report = verify_theta_conjugation(spec, base, depth, ctx, n)
+    assert report.ok and report.vectors_checked == 3 * n * (2 * depth + 1) ** n
+    assert not cancel_calls
+
+
+def test_series_reaching_past_the_oracle_never_cancels(cancel_calls, monkeypatch):
+    """The probe scale also covers inverse powers that only the series has,
+    here only the series of X[+2e1]."""
+    series = morphisms.theta_generator
+
+    def padded(g, spec, ctx, n):
+        op = series(g, spec, ctx, n)
+        if g != x_((2,)):
+            return op
+        far = [(ctx.one, None, 1, 3), (-1, None, 1, 3)]  # they cancel
+        return LocalizedOperator(ctx, n, op.terms + far)
+
+    monkeypatch.setattr(morphisms, "theta_generator", padded)
+    ctx = ScalarContext(("s", "a1"))
+    spec = TwistSpec((1,), (ctx.rational(1),))
+    assert verify_theta_conjugation(spec, (ctx.symbol("a1"),), 2, ctx, 1).ok
+    assert not cancel_calls
+
+
+def test_exact_quotients_never_cancel(cancel_calls):
+    s, a1 = CTX.s, CTX.symbol("a1")
+    for y in (a1 + 1, (a1 + 2) * (a1 + 3) / 2, s * a1 - s / 3):
+        x = (s ** 2 + a1 / 5) * y
+        assert_same(x / y, s ** 2 + a1 / 5)
+    assert not cancel_calls
 
 
 # -- integer keys ------------------------------------------------------------
