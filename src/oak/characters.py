@@ -181,7 +181,10 @@ def compare_characters(a, b, window=None):
     if window is None:
         window = inter
     else:
-        window = tuple((int(lo), int(hi)) for lo, hi in window)
+        window = tuple(
+            (checked_int(lo, "window bound"), checked_int(hi, "window bound"))
+            for lo, hi in window
+        )
         for (lo, hi), (il, ih) in zip(window, inter):
             if lo < il or hi > ih:
                 raise ValueError("window exceeds the exact boxes")
@@ -620,7 +623,7 @@ def classify_flags(table, probe_depth):
     such ray exists.  Exact whenever the support is eventually periodic along
     these rays, which holds for every module constructible here.
     """
-    D = int(probe_depth)
+    D = checked_int(probe_depth, "probe depth")
     if D < 1:
         raise ValueError("probe depth must be >= 1")
     n = table.n

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .combination import Combination
+from .combination import Combination, checked_int
 
 
 class BasisElement(NamedTuple):
@@ -38,11 +38,11 @@ class BasisElement(NamedTuple):
 
 
 def x_(root):
-    return BasisElement("x", tuple(int(c) for c in root))
+    return BasisElement("x", tuple(checked_int(c, "root coordinate") for c in root))
 
 
 def h_(i):
-    return BasisElement("h", (int(i),))
+    return BasisElement("h", (checked_int(i, "Cartan index"),))
 
 
 Z = BasisElement("z", ())
@@ -80,7 +80,7 @@ def root_system(n):
 
 
 def is_root(vec, n):
-    return tuple(vec) in set(root_system(n)[0])
+    return BasisElement("x", tuple(vec)) in basis_index(n)
 
 
 @lru_cache(maxsize=None)

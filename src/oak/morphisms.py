@@ -525,8 +525,8 @@ def verify_theta_conjugation(spec, base, depth, ctx, n):
 
     ``base`` supplies the exponents a_i (symbols give the sharpest check; any
     a_i with a_i not an integer keeps every division defined).  All basis
-    vectors with offsets in the radius-``depth`` box are compared for each
-    twistable generator at each twisted index.
+    vectors with offsets in the radius-``depth`` box (``depth`` >= 0) are
+    compared for each twistable generator at each twisted index.
 
     Each probe t^m is scaled by D, the product of every factor
     (a_k + m_k + r) that either side divides by, so both sides stay
@@ -537,6 +537,8 @@ def verify_theta_conjugation(spec, base, depth, ctx, n):
     parameter the oracle refuses, only the series' own factors scale it, and
     the oracle raises at the first probe.
     """
+    if checked_int(depth, "depth") < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
     module = FullLaurent(ctx, base)
     if module.rank != n:
         raise ValueError("base exponent rank mismatch")

@@ -3,28 +3,27 @@
 Every computation declares its symbol set up front (the central-charge symbol
 ``s`` is always present; the central element acts by ``s^2`` throughout the
 package).  Scalars are kept in canonical reduced form, so equality is
-syntactic and decidable.  The reduction itself is delegated to sympy's sparse
-polynomial rings; this module owns the fixed symbol ordering, the canonical
-form, the exact substitution rule, and the ``^``/``/`` surface syntax used by
-the CLI.
+syntactic and decidable.  This module owns the fixed symbol ordering, the
+canonical form, the exact substitution rule, and the ``^``/``/`` surface
+syntax used by the CLI.
 
-The canonical form is sympy's reduced fraction with one change: a constant
-denominator c is folded into the numerator (whose coefficients become
-rationals) and replaced by the context's one shared unit polynomial.  So
-every polynomial, including the ubiquitous ones with a 1/2 in them, is a
-numerator over that unit, and polynomial arithmetic is plain ring arithmetic
-with no gcd; so is a division of polynomials that comes out even.  Only a
-fraction with a non-constant denominator goes through sympy's field
-arithmetic and its ``cancel``.  Printing and ordering undo the
-fold, so they see exactly sympy's pair.
+The canonical form is sympy's reduced pair over the integers: an integer
+polynomial over either a positive int coprime to its content, or an integer
+polynomial coprime to it with a positive leading coefficient.  It is also
+the printed form.  Polynomials -- every scalar of the first kind, ``(s^2-1)/2``
+included -- are added, multiplied and raised to powers as plain int dicts,
+with one gcd of ints to restore the form; a division of polynomials that
+comes out even stays a polynomial.  Only a fraction with a non-constant
+denominator goes through sympy's ``cancel``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
-from sympy import QQ
-from sympy.polys.fields import field as _sympy_field
+from sympy import ZZ
+from sympy.polys.rings import ring as _sympy_ring
 
 _NAME_OK = lambda t: t.isidentifier()
 
@@ -40,9 +39,31 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-def _to_fraction(q):
-    # sympy QQ elements are gmpy2.mpq or PythonRational
-    return Fraction(int(q.numerator), int(q.denominator))
+# Polynomials are {exponent tuple: int} dicts holding no zero coefficient.
+
+def _scale(poly, k):
+    return poly if k == 1 else {m: k * c for m, c in poly.items()}
+
+
+def _add(p, q):
+    out = dict(p)
+    for m, c in q.items():
+        c += out.get(m, 0)
+        if c:
+            out[m] = c
+        else:
+            del out[m]
+    return out
+
+
+def _mul(p, q, mono):
+    out = {}
+    get = out.get
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = mono(m1, m2)
+            out[m] = get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
 
 
 class ScalarContext:
@@ -62,19 +83,18 @@ class ScalarContext:
             if not _NAME_OK(name):
                 raise ValueError(f"invalid symbol name {name!r}")
         self.symbols = symbols
-        self._field, *gens = _sympy_field(",".join(symbols), QQ)
-        self._ring = self._field.ring
-        # the denominator of every scalar whose reduced denominator is a
-        # constant; kept once because PolyRing.one is a new object on every
-        # access, and the polynomial fast paths test for it by identity
-        self._unit = self._ring.one
+        self._ring = _sympy_ring(",".join(symbols), ZZ)[0]
+        self._mono = self._ring.monomial_mul  # adds two exponent tuples
+        self._origin = (0,) * len(symbols)
         self._index = {name: k for k, name in enumerate(symbols)}
         # rational constants by value (an int and an equal Fraction share an
         # entry): coercion of ints and Fractions is hot
         self._constants = {}
-        self.zero = self._normal(self._field.zero)
-        self.one = self._normal(self._field.one)
-        self._gens = {name: self._normal(g) for name, g in zip(symbols, gens)}
+        self.zero = Scalar(self, {}, 1)
+        self.one = self.rational(1)
+        self._gens = {
+            name: Scalar(self, dict(g), 1) for name, g in zip(symbols, self._ring.gens)
+        }
         # images of basis elements and monomials under the realizations
         # (oak.morphisms), which live and die with this context
         self.memo = {}
@@ -102,8 +122,8 @@ class ScalarContext:
         value = self._constants.get(key)
         if value is None:
             fr = Fraction(key)
-            ground = self._ring.ground_new(QQ(fr.numerator, fr.denominator))
-            value = self._constants[key] = self._poly(ground)
+            num = {self._origin: fr.numerator} if fr else {}
+            value = self._constants[key] = Scalar(self, num, fr.denominator)
         return value
 
     def coerce(self, value):
@@ -115,20 +135,23 @@ class ScalarContext:
             return self.rational(value)
         raise TypeError(f"cannot coerce {value!r} to a scalar")
 
-    def _poly(self, numer):
-        """The scalar of a polynomial with rational coefficients."""
-        return Scalar(self, self._field.raw_new(numer, self._unit))
+    def _lift(self, den):
+        """A denominator as a polynomial."""
+        return {self._origin: den} if type(den) is int else den
 
-    def _normal(self, frac):
-        """The scalar of a sympy fraction in sympy's reduced form: a constant
-        denominator is folded into the numerator.  Every scalar is built here
-        or, when it is known to be a polynomial, by ``_poly``."""
-        denom = frac.denom
-        if denom is self._unit:
-            return Scalar(self, frac)
-        if denom.is_ground:
-            return self._poly(frac.numer.quo_ground(denom.LC))
-        return Scalar(self, frac)
+    def _poly(self, num, den):
+        """The scalar num/den of a polynomial over a positive int."""
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                num = {m: c // g for m, c in num.items()}
+                den //= g
+        return Scalar(self, num, den)
+
+    def _fraction(self, num, den):
+        """The scalar num/den of two polynomials, reduced by sympy's cancel."""
+        p, q = self._ring.from_dict(num).cancel(self._ring.from_dict(den))
+        return Scalar(self, dict(p), int(q.LC) if q.is_ground else dict(q))
 
     def parse(self, text):
         """Parse ``(s^2-1)/2`` style syntax into a scalar."""
@@ -142,160 +165,152 @@ class ScalarContext:
 class Scalar:
     """Element of the declared rational-function field, in canonical form.
 
-    ``raw`` is a sympy fraction: a polynomial over the context's shared unit
-    when the reduced denominator is a constant (folded into the numerator),
-    else sympy's reduced pair.  Only ``ScalarContext`` builds scalars.
+    ``num`` is a polynomial with integer coefficients, a dict from exponent
+    tuples (in the context's symbol order) to nonzero ints.  ``den`` is a
+    positive int coprime to the content of ``num`` (1 for zero), or, when
+    the reduced denominator is not a constant, such a dict coprime to
+    ``num`` with a positive leading coefficient.  Only ``ScalarContext`` and
+    this class build scalars.
     """
 
-    __slots__ = ("ctx", "raw")
+    __slots__ = ("ctx", "num", "den")
 
-    def __init__(self, ctx, raw):
+    def __init__(self, ctx, num, den):
         self.ctx = ctx
-        self.raw = raw
+        self.num = num
+        self.den = den
 
-    def _coerce_raw(self, other):
+    def _coerce(self, other):
         if isinstance(other, Scalar):
             if other.ctx is not self.ctx:
                 raise ValueError("scalars from different contexts")
-            return other.raw
+            return other
         if isinstance(other, (int, Fraction)):
             cached = self.ctx._constants.get(other)
-            if cached is None:
-                cached = self.ctx.rational(other)
-            return cached.raw
+            return self.ctx.rational(other) if cached is None else cached
         return None
 
-    # Polynomial fast paths: over the shared unit the ring result is already
-    # canonical, and sympy's per-operation cancel() is pure overhead.
+    # Over int denominators the result only needs its content reduced; a
+    # true fraction goes through sympy's cancel.
 
     def __add__(self, other):
-        raw = self._coerce_raw(other)
-        if raw is None:
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        unit = self.ctx._unit
-        if self.raw.denom is unit and raw.denom is unit:
-            return self.ctx._poly(self.raw.numer + raw.numer)
-        return self.ctx._normal(self.raw + raw)
+        ctx, d1, d2 = self.ctx, self.den, other.den
+        if type(d1) is int and type(d2) is int:
+            g = gcd(d1, d2)
+            num = _add(_scale(self.num, d2 // g), _scale(other.num, d1 // g))
+            return ctx._poly(num, d1 // g * d2)
+        d1, d2 = ctx._lift(d1), ctx._lift(d2)
+        num = _add(_mul(self.num, d2, ctx._mono), _mul(other.num, d1, ctx._mono))
+        return ctx._fraction(num, _mul(d1, d2, ctx._mono))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        raw = self._coerce_raw(other)
-        if raw is None:
-            return NotImplemented
-        unit = self.ctx._unit
-        if self.raw.denom is unit and raw.denom is unit:
-            return self.ctx._poly(self.raw.numer - raw.numer)
-        return self.ctx._normal(self.raw - raw)
+        other = self._coerce(other)
+        return NotImplemented if other is None else self + -other
 
     def __rsub__(self, other):
-        raw = self._coerce_raw(other)
-        if raw is None:
-            return NotImplemented
-        unit = self.ctx._unit
-        if self.raw.denom is unit and raw.denom is unit:
-            return self.ctx._poly(raw.numer - self.raw.numer)
-        return self.ctx._normal(raw - self.raw)
+        other = self._coerce(other)
+        return NotImplemented if other is None else other + -self
 
     def __mul__(self, other):
-        raw = self._coerce_raw(other)
-        if raw is None:
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        unit = self.ctx._unit
-        if self.raw.denom is unit and raw.denom is unit:
-            return self.ctx._poly(self.raw.numer * raw.numer)
-        return self.ctx._normal(self.raw * raw)
+        ctx, d1, d2 = self.ctx, self.den, other.den
+        num = _mul(self.num, other.num, ctx._mono)
+        if type(d1) is int and type(d2) is int:
+            return ctx._poly(num, d1 * d2)
+        return ctx._fraction(num, _mul(ctx._lift(d1), ctx._lift(d2), ctx._mono))
 
     __rmul__ = __mul__
 
-    # Division by a nonzero constant, and any exact division of polynomials,
-    # stays on the polynomial path too.
-
     def __truediv__(self, other):
-        raw = self._coerce_raw(other)
-        if raw is None:
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        if not raw:
+        if not other.num:
             raise ZeroDivisionError("division by zero scalar")
-        unit = self.ctx._unit
-        if self.raw.denom is unit and raw.denom is unit:
-            if raw.numer.is_ground:
-                return self.ctx._poly(self.raw.numer.quo_ground(raw.numer.LC))
-            quotient, remainder = self.raw.numer.div(raw.numer)
+        ctx, n1, d1, n2, d2 = self.ctx, self.num, self.den, other.num, other.den
+        if type(d1) is int and type(d2) is int:
+            # n2 = c * p with c > 0 its content: (n1/d1) / (n2/d2) is
+            # (n1/p) * d2 / (d1 * c), and since p is primitive, n1/p is an
+            # integer polynomial whenever p divides n1 at all (Gauss's lemma)
+            c = gcd(*n2.values())
+            if len(n2) == 1 and ctx._origin in n2:
+                return ctx._poly(_scale(n1, n2[ctx._origin] // c * d2), d1 * c)
+            divisor = ctx._ring.from_dict({m: v // c for m, v in n2.items()})
+            quotient, remainder = ctx._ring.from_dict(n1).div(divisor)
             if not remainder:
-                return self.ctx._poly(quotient)
-        return self.ctx._normal(self.raw / raw)
+                return ctx._poly(_scale(dict(quotient), d2), d1 * c)
+        return ctx._fraction(
+            _mul(n1, ctx._lift(d2), ctx._mono), _mul(ctx._lift(d1), n2, ctx._mono)
+        )
 
     def __rtruediv__(self, other):
-        raw = self._coerce_raw(other)
-        if raw is None:
-            return NotImplemented
-        if not self.raw:
-            raise ZeroDivisionError("division by zero scalar")
-        unit = self.ctx._unit
-        if self.raw.denom is unit and raw.denom is unit and self.raw.numer.is_ground:
-            return self.ctx._poly(raw.numer.quo_ground(self.raw.numer.LC))
-        return self.ctx._normal(raw / self.raw)
+        other = self._coerce(other)
+        return NotImplemented if other is None else other / self
 
     def __pow__(self, k):
         if not isinstance(k, int):
             return NotImplemented
         if k == 0:
-            # as for ints and Fractions, 0 ** 0 is 1 (sympy raises)
+            # as for ints and Fractions, 0 ** 0 is 1
             return self.ctx.one
-        if k > 0:
-            return self.ctx._normal(self.raw ** k)
-        if not self.raw:
-            raise ZeroDivisionError("negative power of zero scalar")
-        # sympy's negative power only swaps the pair, which leaves a sign or
-        # a rational coefficient in the denominator: reduce it again
-        return self.ctx._normal(
-            self.ctx._field.new(self.raw.denom ** -k, self.raw.numer ** -k)
-        )
+        if k < 0:
+            if not self.num:
+                raise ZeroDivisionError("negative power of zero scalar")
+            return self.ctx.one / self ** -k
+        # powers of a reduced pair are reduced
+        num, den, mono = self.num, self.den, self.ctx._mono
+        for _ in range(k - 1):
+            num = _mul(num, self.num, mono)
+            den = den * self.den if type(den) is int else _mul(den, self.den, mono)
+        return Scalar(self.ctx, num, den)
 
     def __neg__(self):
-        return Scalar(self.ctx, -self.raw)
+        return Scalar(self.ctx, {m: -c for m, c in self.num.items()}, self.den)
 
     def __bool__(self):
-        return bool(self.raw)
+        return bool(self.num)
 
     # Both sides are canonical and of one context, so equality is equality of
-    # the coefficient dicts (which is what sympy's own test comes down to).
+    # the pairs (an int denominator never equals a dict one).
 
     def __eq__(self, other):
-        raw = self._coerce_raw(other)
-        if raw is None:
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        return dict.__eq__(self.raw.numer, raw.numer) and (
-            self.raw.denom is raw.denom or dict.__eq__(self.raw.denom, raw.denom)
-        )
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        # not sympy's hash: a polynomial caches its hash on first use, and
-        # PolyElement.square() hashes its result before scaling it in place,
-        # so equal squares could hash apart
-        raw = self.raw
-        return hash((frozenset(raw.numer.items()), frozenset(raw.denom.items())))
+        den = self.den
+        if type(den) is not int:
+            den = frozenset(den.items())
+        return hash((frozenset(self.num.items()), den))
 
     @property
     def is_zero(self):
-        return not self.raw
+        return not self.num
 
     @property
     def is_one(self):
         return self == self.ctx.one
 
     def is_rational(self):
-        return self.raw.denom is self.ctx._unit and self.raw.numer.is_ground
+        return type(self.den) is int and self.num.keys() <= {self.ctx._origin}
 
     def as_fraction(self):
         """Exact rational value; raises if any symbol actually occurs."""
         if not self.is_rational():
             raise ValueError(f"{self} is not a plain rational")
-        return _to_fraction(self.raw.numer.coeff(1))
+        return Fraction(self.num.get(self.ctx._origin, 0), self.den)
 
     def is_integer(self):
-        return self.is_rational() and self.as_fraction().denominator == 1
+        return self.is_rational() and self.den == 1
 
     def evaluate(self, assignment):
         """Substitute Fractions for every occurring symbol; exact result.
@@ -310,8 +325,7 @@ class Scalar:
 
         def ev(poly):
             total = Fraction(0)
-            for mon, coef in poly.terms():
-                c = _to_fraction(coef)
+            for mon, c in poly.items():
                 for e, v in zip(mon, values):
                     if e:
                         if v is None:
@@ -322,62 +336,42 @@ class Scalar:
                 total += c
             return total
 
-        den = ev(self.raw.denom)
+        den = ev(self.ctx._lift(self.den))
         if den == 0:
             raise ZeroDivisionError("denominator vanishes at the given point")
-        return ev(self.raw.numer) / den
+        return ev(self.num) / den
 
     def subs_symbol(self, name, value):
         """Substitute one symbol by a Fraction, staying in the same context."""
-        value = Fraction(value)
-        idx = self.ctx._index[name]
-        qv = QQ(value.numerator, value.denominator)
+        ctx, idx = self.ctx, self.ctx._index[name]
+        value = ctx.coerce(Fraction(value))
 
         def sub(poly):
-            out = {}
-            for mon, coef in poly.terms():
-                e = mon[idx]
-                if e:
-                    coef = coef * qv ** e
-                    mon = mon[:idx] + (0,) + mon[idx + 1:]
-                out[mon] = out.get(mon, QQ(0)) + coef
-            return self.ctx._ring.from_dict(out)
+            total = ctx.zero
+            for mon, c in poly.items():
+                rest = Scalar(ctx, {mon[:idx] + (0,) + mon[idx + 1:]: c}, 1)
+                total = total + rest * value ** mon[idx]
+            return total
 
-        numer = sub(self.raw.numer)
-        if self.raw.denom is self.ctx._unit:
-            return self.ctx._poly(numer)
-        den = sub(self.raw.denom)
+        den = sub(ctx._lift(self.den))
         if not den:
             raise ZeroDivisionError("denominator vanishes under substitution")
-        return self.ctx._normal(self.ctx._field.new(numer, den))
-
-    def _sympy_pair(self):
-        """sympy's reduced (numerator, denominator): the fold undone.  The
-        lcm of the folded coefficients' denominators is the old constant."""
-        numer, denom = self.raw.numer, self.raw.denom
-        if denom is self.ctx._unit:
-            c, numer = numer.clear_denoms()
-            denom = self.ctx._ring.ground_new(c)
-        return numer, denom
+        return sub(self.num) / den
 
     def sort_key(self):
-        def poly_key(poly):
-            return tuple(
-                sorted((mon, _to_fraction(c)) for mon, c in poly.terms())
-            )
-
-        numer, denom = self._sympy_pair()
-        return (poly_key(numer), poly_key(denom))
+        return (
+            tuple(sorted(self.num.items())),
+            tuple(sorted(self.ctx._lift(self.den).items())),
+        )
 
     def __str__(self):
-        numer, denom = self._sympy_pair()
-        num = _poly_str(numer, self.ctx.symbols)
-        if denom == 1:
+        num = _poly_str(self.num, self.ctx.symbols)
+        if self.den == 1:
             return num
-        den = _poly_str(denom, self.ctx.symbols)
+        den = _poly_str(self.ctx._lift(self.den), self.ctx.symbols)
         if _is_sum(num):
             num = f"({num})"
-        if _is_sum(den) or "*" in den or "/" in den:
+        if _is_sum(den) or "*" in den:
             den = f"({den})"
         return f"{num}/{den}"
 
@@ -397,12 +391,12 @@ def _is_sum(text):
 
 
 def _poly_str(poly, symbols):
+    """A polynomial with integral coefficients as text."""
     if not poly:
         return "0"
     pieces = []
     # descending lex over exponent vectors: deterministic and stable
-    for mon, coef in sorted(poly.terms(), reverse=True):
-        c = _to_fraction(coef)
+    for mon, c in sorted(poly.items(), reverse=True):
         factors = []
         for name, e in zip(symbols, mon):
             if e == 1:
@@ -411,16 +405,14 @@ def _poly_str(poly, symbols):
                 factors.append(f"{name}^{e}")
         mag = abs(c)
         if not factors or mag != 1:
-            factors.insert(0, str(mag.numerator))
-        body = "*".join(factors)
-        if mag.denominator != 1:
-            body = f"{body}/{mag.denominator}"
-        pieces.append(("-" if c < 0 else "+", body))
+            factors.insert(0, str(mag))
+        pieces.append(("-" if c < 0 else "+", "*".join(factors)))
     sign, body = pieces[0]
     text = body if sign == "+" else f"-{body}"
     for sign, body in pieces[1:]:
         text += sign + body
     return text
+
 
 
 # ---------------------------------------------------------------------------

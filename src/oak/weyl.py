@@ -185,7 +185,7 @@ class QuotientModule(ModuleDescriptor):
         self.ctx = ctx
         self.base = tuple(ctx.coerce(b) for b in base)
         self.rank = len(self.base)
-        self.quotiented = frozenset(int(i) for i in quotiented)
+        self.quotiented = frozenset(checked_int(i, "quotiented index") for i in quotiented)
         for i in self.quotiented:
             _check_index(i, self.rank)
             if not self.base[i - 1].is_zero:
@@ -265,8 +265,8 @@ def apply(p, v, m):
     out = {}
     for off, cv in v.terms.items():
         for (alpha, beta), cp in p.terms.items():
-            # falling-factorial factor, accumulated as one polynomial so a
-            # single cancellation handles coefficients with denominators
+            # falling-factorial factor prod_i prod_{r < beta_i} (a_i + m_i - r):
+            # a polynomial, multiplied into the coefficient once
             fac = ctx.one
             dead = False
             for i, (bi, oi) in enumerate(zip(beta, off)):
@@ -411,7 +411,7 @@ def support(m, box):
     (a_i + m_i + 1/2)_i.  The box is an inclusive (lo, hi) pair of integer
     offset vectors.
     """
-    lo, hi = (tuple(int(x) for x in side) for side in box)
+    lo, hi = (tuple(checked_int(x, "box bound") for x in side) for side in box)
     if len(lo) != m.rank or len(hi) != m.rank:
         raise ValueError("box rank mismatch")
     if any(l > h for l, h in zip(lo, hi)):

@@ -55,3 +55,11 @@ def test_cli_json_matches_golden(name, capsys):
     code, out = run_case(CASES[name], capsys)
     assert code == expected["exit"]
     assert out == expected["stdout"]
+
+
+def test_golden_commands_never_cancel(cancel_calls, capsys):
+    """Every golden command keeps its scalars polynomial, so sympy's gcd
+    cancel is never called."""
+    for argv in CASES.values():
+        run_case(argv, capsys)
+    assert not cancel_calls

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from oak.liealg import LieElement, basis, h_, x_
 from oak.scalars import ParseError, ScalarContext
@@ -107,6 +108,49 @@ def test_weyl_element_round_trip_sweep():
                 continue
         w = WeylElement(CTX, 2, terms)
         assert parse_weyl_element(str(w), CTX, 2) == w
+
+
+@st.composite
+def coefficients(draw):
+    """A polynomial, a polynomial over a constant or a true rational function."""
+
+    def poly():
+        terms = draw(st.dictionaries(
+            st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 1)),
+            st.fractions(min_value=-4, max_value=4, max_denominator=6),
+            max_size=3,
+        ))
+        s, a1, b = (CTX.symbol(name) for name in CTX.symbols)
+        out = CTX.zero
+        for (i, j, k), c in terms.items():
+            out = out + CTX.rational(c) * s ** i * a1 ** j * b ** k
+        return out
+
+    kind = draw(st.sampled_from(("poly", "constant", "function")))
+    x = poly()
+    if kind == "constant":
+        return x / draw(st.integers(2, 12))
+    if kind == "function":
+        d = poly()
+        return x / (d + CTX.symbol("a1") if d.is_rational() else d)
+    return x
+
+
+@given(st.dictionaries(st.sampled_from(basis(2)), coefficients(), max_size=3))
+def test_lie_element_print_parse_round_trip(coeffs):
+    el = LieElement(CTX, 2, coeffs)
+    back = parse_lie_element(str(el), CTX, 2)
+    assert back == el and str(back) == str(el)
+
+
+exponents = st.tuples(st.integers(0, 3), st.integers(0, 3))
+
+
+@given(st.dictionaries(st.tuples(exponents, exponents), coefficients(), max_size=3))
+def test_weyl_element_print_parse_round_trip(terms):
+    w = WeylElement(CTX, 2, terms)
+    back = parse_weyl_element(str(w), CTX, 2)
+    assert back == w and str(back) == str(w)
 
 
 def test_module_descriptor_parsing():

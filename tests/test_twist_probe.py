@@ -113,8 +113,9 @@ def test_non_natural_parameter_raises_the_oracle_error(b):
     spec = TwistSpec((1,), (ctx.symbol(b) if isinstance(b, str) else ctx.coerce(b),))
     with pytest.raises(ValueError, match=r"^conjugation oracle needs nonnegative integer b$"):
         verify_theta_conjugation(spec, base, 1, ctx, 1)
-    # with no probe the oracle is never asked, so nothing is raised
-    assert verify_theta_conjugation(spec, base, -1, ctx, 1).vectors_checked == 0
+    # a negative depth is refused before any probe, not taken as an empty box
+    with pytest.raises(ValueError, match=r"^depth must be >= 0, got -1$"):
+        verify_theta_conjugation(spec, base, -1, ctx, 1)
 
 
 def test_vanishing_factor_raises_where_the_unscaled_probe_does():
