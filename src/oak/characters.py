@@ -13,8 +13,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations, product as _cartesian
-from operator import add
+from itertools import combinations, permutations, product as _cartesian
+from math import prod
+from operator import add, mul, sub
+from types import MappingProxyType
 
 from .combination import checked_int
 from .liealg import Weight, root_system
@@ -29,7 +31,9 @@ class CharTable:
 
     ``box`` is a per-coordinate (lo, hi) pair in doubled eps-coordinates and
     the table is exact there: every absent offset inside the box has
-    multiplicity zero in the module, not merely in the table.
+    multiplicity zero in the module, not merely in the table.  Tables are
+    values: ``entries`` is never changed in place, and the tables that
+    ``char_module`` builds share one read-only mapping per shape.
     """
 
     __slots__ = ("ref", "box", "entries")
@@ -211,57 +215,64 @@ def compare_characters(a, b, window=None):
 # partition functions
 # ---------------------------------------------------------------------------
 
-_KOSTANT_MEMO = {}
+class _Partitions:
+    """Kostant partition function of one set of distinct positive roots.
 
+    The roots are checked and sorted by height once.  The memo of partition
+    counts of mu by the roots from the k-th on, keyed by (mu, k), lives as
+    long as this object, which its builder holds for one call.
+    """
 
-def _height_weights(n):
-    # strictly decreasing positive weights make every root in the supported
-    # sets strictly positive, which bounds partition coefficients
-    return tuple(2 * (n - i) - 1 for i in range(n))
+    __slots__ = ("weights", "roots", "hts", "memo")
+
+    def __init__(self, roots, n):
+        roots = [tuple(checked_int(c, "root coordinate") for c in r) for r in roots]
+        if len(set(roots)) != len(roots):
+            raise ValueError("roots must be distinct")
+        # strictly decreasing positive weights make every root in the
+        # supported sets strictly positive, which bounds partition coefficients
+        self.weights = tuple(2 * (n - i) - 1 for i in range(n))
+        by_height = []
+        for r in roots:
+            if len(r) != n:
+                raise ValueError("root rank mismatch")
+            ht = sum(map(mul, self.weights, r))
+            if ht <= 0:
+                raise ValueError(f"root {r} is not positive for the height functional")
+            by_height.append((ht, r))
+        by_height.sort(key=lambda pair: -pair[0])
+        self.hts = tuple(ht for ht, _ in by_height)
+        self.roots = tuple(r for _, r in by_height)
+        self.memo = {}
+
+    def __call__(self, mu):
+        """P(mu) for an int tuple of the roots' rank."""
+        return self._count(mu, sum(map(mul, self.weights, mu)), 0)
+
+    def _count(self, mu, ht_mu, k):
+        if ht_mu == 0:
+            return 0 if any(mu) else 1
+        if ht_mu < 0 or k == len(self.roots):
+            return 0
+        key = (mu, k)
+        cached = self.memo.get(key)
+        if cached is not None:
+            return cached
+        root, ht = self.roots[k], self.hts[k]
+        total = 0
+        while ht_mu >= 0:
+            total += self._count(mu, ht_mu, k + 1)
+            mu = tuple(map(sub, mu, root))
+            ht_mu -= ht
+        self.memo[key] = total
+        return total
 
 
 def kostant_partition(mu, roots):
-    """Number of ways to write mu as a nonnegative integer combination of
-    the given distinct positive roots; zero outside the cone."""
-    mu = tuple(int(c) for c in mu)
-    roots = tuple(tuple(int(c) for c in r) for r in roots)
-    if len(set(roots)) != len(roots):
-        raise ValueError("roots must be distinct")
-    n = len(mu)
-    w = _height_weights(n)
-    hts = []
-    for r in roots:
-        if len(r) != n:
-            raise ValueError("root rank mismatch")
-        ht = sum(wi * ci for wi, ci in zip(w, r))
-        if ht <= 0:
-            raise ValueError(f"root {r} is not positive for the height functional")
-        hts.append(ht)
-    order = sorted(range(len(roots)), key=lambda k: -hts[k])
-    roots = tuple(roots[k] for k in order)
-    hts = tuple(hts[k] for k in order)
-    return _kostant(mu, sum(wi * ci for wi, ci in zip(w, mu)), roots, hts, 0)
-
-
-def _kostant(mu, ht_mu, roots, hts, k):
-    if ht_mu == 0:
-        return 1 if not any(mu) else 0
-    if ht_mu < 0 or k == len(roots):
-        return 0
-    key = (mu, roots, k)
-    cached = _KOSTANT_MEMO.get(key)
-    if cached is not None:
-        return cached
-    root, ht = roots[k], hts[k]
-    total = 0
-    cur, cur_ht, c = mu, ht_mu, 0
-    while cur_ht >= 0:
-        total += _kostant(cur, cur_ht, roots, hts, k + 1)
-        cur = tuple(m - r for m, r in zip(cur, root))
-        cur_ht -= ht
-        c += 1
-    _KOSTANT_MEMO[key] = total
-    return total
+    """Number of ways to write mu as a nonnegative integer combination of the
+    given distinct positive int roots; zero outside the cone."""
+    mu = tuple(checked_int(c, "weight coordinate") for c in mu)
+    return _Partitions(roots, len(mu))(mu)
 
 
 def positive_roots(n, algebra):
@@ -275,16 +286,9 @@ def positive_roots(n, algebra):
 
 
 def lowering_roots(n, algebra):
-    """Positive roots whose negatives span the parabolic lowering part."""
-    if algebra == "g":
-        return tuple(
-            r for r in positive_roots(n, "g") if sum(r) > 0
-        )  # e_i + e_j (i<=j) and e_i
-    if algebra == "sp":
-        return tuple(
-            r for r in positive_roots(n, "sp") if sum(r) > 0
-        )  # e_i + e_j (i<=j)
-    raise ValueError("algebra must be 'g' or 'sp'")
+    """Positive roots whose negatives span the parabolic lowering part:
+    e_i + e_j (i <= j), and e_i for the oscillator algebra."""
+    return tuple(r for r in positive_roots(n, algebra) if sum(r) > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +305,7 @@ def verma_char(lam, algebra, depth):
         raise ValueError("depth must be >= 1")
     n = lam.n
     box = ((-2 * depth, 2 * depth),) * n
-    return _induced_char(delta_char(lam), positive_roots(n, algebra), box)
+    return _induced_char(lam, {(0,) * n: 1}, positive_roots(n, algebra), box)
 
 
 def char_module(m, depth):
@@ -324,14 +328,16 @@ def char_module(m, depth):
             values.append(m.base[i] + _HALF)
     ref = Weight(ctx, values, ctx.zdot)
     box = ((-2 * depth, 2 * depth),) * n
-    axes = []
-    for i in range(n):
-        if (i + 1) in m.quotiented:
-            axes.append(range(-2 * depth, 1, 2))
-        else:
-            axes.append(range(-2 * depth, 2 * depth + 1, 2))
-    entries = {off: 1 for off in _cartesian(*axes)}
-    return CharTable._trusted(ref, box, entries)
+    # the offsets depend only on the shape, so the context keeps one read-only
+    # entries mapping per shape and every table of that shape shares it
+    key = ("laurent offsets", n, m.quotiented, depth)
+    if key not in ctx.memo:
+        axes = [
+            range(-2 * depth, 1 if i + 1 in m.quotiented else 2 * depth + 1, 2)
+            for i in range(n)
+        ]
+        ctx.memo[key] = MappingProxyType({off: 1 for off in _cartesian(*axes)})
+    return CharTable._trusted(ref, box, ctx.memo[key])
 
 
 def convolve(a, b, box=None):
@@ -386,43 +392,45 @@ def generalized_verma_char(v_char, algebra, depth):
     if depth < 1:
         raise ValueError("depth must be >= 1")
     box = tuple((lo - 2 * depth, hi + 2 * depth) for lo, hi in v_char.box)
-    return _induced_char(v_char, lowering_roots(v_char.n, algebra), box)
+    return _induced_char(
+        v_char.ref, v_char.entries, lowering_roots(v_char.n, algebra), box
+    )
 
 
-def _induced_char(top, roots, box):
-    """Top character times the partition function of ``-roots`` on ``box``.
+def _induced_char(ref, top, roots, box):
+    """Top entries times the partition function of ``-roots`` on ``box``.
 
-    The multiplicity at nu is the sum over top offsets alpha of
+    ``top`` maps offsets to integer, possibly negative, multiplicities.  The
+    multiplicity at nu is the sum over top offsets alpha of
     mult(alpha) * P((alpha - nu) / 2), computed exactly from the cone at
     every offset of the box whatever its corners.
     """
-    parities = {tuple(c % 2 for c in off) for off in top.entries}
+    count = _Partitions(roots, len(box))
+    by_parity = {}
+    for alpha, mult in top.items():
+        by_parity.setdefault(tuple(c % 2 for c in alpha), []).append((alpha, mult))
     entries = {}
-    for parity in sorted(parities):
+    for parity, terms in sorted(by_parity.items()):
         axes = [
             range(lo + (p - lo) % 2, hi + 1, 2)
             for p, (lo, hi) in zip(parity, box)
         ]
         for nu in _cartesian(*axes):
             total = 0
-            for alpha, mult in top.entries.items():
-                diff = tuple(a - x for a, x in zip(alpha, nu))
-                if any(c % 2 for c in diff):
-                    continue
-                total += mult * kostant_partition(
-                    tuple(c // 2 for c in diff), roots
-                )
+            for alpha, mult in terms:
+                total += mult * count(tuple((a - x) // 2 for a, x in zip(alpha, nu)))
             if total:
                 entries[nu] = total
-    return CharTable._trusted(top.ref, box, entries)
+    return CharTable._trusted(ref, box, entries)
 
 
 def finite_simple_sp_char(lam, depth):
     """Character of the finite-dimensional simple sp_2n module, exactly.
 
-    Uses the alternating-sum multiplicity formula over the signed-permutation
-    Weyl group with the partition function of the positive roots; the highest
-    weight must be dominant integral (integers, decreasing, nonnegative).
+    The alternating-sum multiplicity formula over the signed-permutation Weyl
+    group: the sp Verma construction applied to the signed top entries
+    det(w) at 2(w(lambda + rho) - (lambda + rho)).  The highest weight must
+    be dominant integral (integers, decreasing, nonnegative).
     """
     n = lam.n
     vals = []
@@ -433,48 +441,23 @@ def finite_simple_sp_char(lam, depth):
         vals.append(int(f))
     if any(vals[i] < vals[i + 1] for i in range(n - 1)):
         raise ValueError("highest weight must be dominant (decreasing)")
-    rho = tuple(n - i for i in range(n))
-    roots = positive_roots(n, "sp")
-    group = []
+    lam_rho = tuple(v + n - i for i, v in enumerate(vals))
+    top = {}
     for perm in permutations(range(n)):
         sgn = _perm_sign(perm)
         for signs in _cartesian((1, -1), repeat=n):
-            det = sgn
-            for s in signs:
-                det *= s
-            group.append((perm, signs, det))
-    lam_rho = tuple(v + r for v, r in zip(vals, rho))
+            moved = (s * lam_rho[p] for s, p in zip(signs, perm))
+            top[tuple(2 * (m - v) for m, v in zip(moved, lam_rho))] = sgn * prod(signs)
     box = ((-2 * depth, 2 * depth),) * n
-    entries = {}
-    for mu in _cartesian(range(-depth, depth + 1), repeat=n):
-        target = tuple(v - m + r for v, m, r in zip(vals, mu, rho))
-        total = 0
-        for perm, signs, det in group:
-            moved = tuple(signs[i] * lam_rho[perm[i]] for i in range(n))
-            arg = tuple(a - t for a, t in zip(moved, target))
-            total += det * kostant_partition(arg, roots)
-        if total < 0:
-            raise RuntimeError("negative multiplicity; formula misused")
-        if total:
-            entries[tuple(-2 * c for c in mu)] = total
-    return CharTable._trusted(lam, box, entries)
+    table = _induced_char(lam, top, positive_roots(n, "sp"), box)
+    if any(m < 0 for m in table.entries.values()):
+        raise RuntimeError("negative multiplicity; formula misused")
+    return table
 
 
 def _perm_sign(perm):
-    sgn = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        k = start
-        while not seen[k]:
-            seen[k] = True
-            k = perm[k]
-            length += 1
-        if length % 2 == 0:
-            sgn = -sgn
-    return sgn
+    inversions = sum(a > b for a, b in combinations(perm, 2))
+    return -1 if inversions % 2 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +505,7 @@ def _times_shale_weil(top, roots, upper, margin, window):
     box = tuple(
         (lo - st, hi) for (lo, _), st, hi in zip(window, s_top, upper)
     )
-    return convolve(_induced_char(top, roots, box), s_table, window)
+    return convolve(_induced_char(top.ref, top.entries, roots, box), s_table, window)
 
 
 def verify_verma_factorization(lam, n, depth):

@@ -320,6 +320,9 @@ def cmd_classify(args):
 # parser
 # ---------------------------------------------------------------------------
 
+_DASH = "; write --option=VALUE for a VALUE that starts with '-'"
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="oak",
@@ -383,7 +386,9 @@ def build_parser():
         "verify-twist", help="twist series against the conjugation oracle"
     )
     common(p)
-    p.add_argument("--b", required=True, help="twist parameters, comma separated")
+    p.add_argument(
+        "--b", required=True, help="twist parameters, comma separated" + _DASH
+    )
     p.add_argument("--indices", help="twisted coordinates (default 1..k)")
     p.add_argument("--depth", type=_positive_int, default=4, help="offset box radius")
     p.set_defaults(func=cmd_verify_twist)
@@ -391,7 +396,7 @@ def build_parser():
     p = sub.add_parser("verma-mult", help="Verma weight multiplicity at an offset")
     common(p)
     p.add_argument("--algebra", choices=("g", "sp"), required=True)
-    p.add_argument("--lambda", dest="lam", required=True, help="highest weight")
+    p.add_argument("--lambda", dest="lam", required=True, help="highest weight" + _DASH)
     p.add_argument("--depth", type=_positive_int, required=True)
     p.add_argument("--offset", required=True, help="mu, comma separated integers")
     p.set_defaults(func=cmd_verma_mult)
@@ -401,7 +406,9 @@ def build_parser():
     )
     common(p)
     p.add_argument("--depth", type=_positive_int, required=True)
-    p.add_argument("--lambda", dest="lam", help="check one given highest weight")
+    p.add_argument(
+        "--lambda", dest="lam", help="check one given highest weight" + _DASH
+    )
     p.add_argument("--samples", type=_positive_int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify_prop4b)
@@ -411,7 +418,7 @@ def build_parser():
     )
     common(p)
     p.add_argument("--depth", type=_positive_int, required=True)
-    p.add_argument("--v-weight", help="top weight of the inducing module")
+    p.add_argument("--v-weight", help="top weight of the inducing module" + _DASH)
     p.set_defaults(func=cmd_verify_prop8b)
 
     p = sub.add_parser("classify", help="long-root flag sets of a support table")

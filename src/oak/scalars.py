@@ -96,7 +96,8 @@ class ScalarContext:
             name: Scalar(self, dict(g), 1) for name, g in zip(symbols, self._ring.gens)
         }
         # images of basis elements and monomials under the realizations
-        # (oak.morphisms), which live and die with this context
+        # (oak.morphisms) and the offsets of Laurent-module characters
+        # (oak.characters), which live and die with this context
         self.memo = {}
 
     def __repr__(self):

@@ -162,3 +162,34 @@ def test_malformed_inputs_exit_2(capsys):
 
 def test_unknown_command_exits_2(capsys):
     assert main(["no-such-command"]) == 2
+
+
+# a value that starts with "-" must be attached with "=", argparse reads it as
+# an option otherwise
+DASH_VALUES = {
+    "v-weight": ("-1/2,1/3", ("verify-prop8b", "--rank", "2", "--depth", "3")),
+    "lambda": (
+        "-1/2",
+        ("verma-mult", "--algebra", "g", "--rank", "1", "--depth", "2",
+         "--offset", "0"),
+    ),
+}
+
+
+@pytest.mark.parametrize("option", sorted(DASH_VALUES))
+def test_dash_value_needs_the_equals_form(capsys, option):
+    value, base = DASH_VALUES[option]
+    code, out, err = run(capsys, *base, f"--{option}={value}")
+    assert code == 0 and out and not err
+    code, out, err = run(capsys, *base, f"--{option}", value)
+    assert code == 2 and not out
+    assert "expected one argument" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command", ["verma-mult", "verify-prop4b", "verify-prop8b", "verify-twist"]
+)
+def test_help_names_the_equals_form(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "200")  # one help line per option
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0 and "--option=VALUE" in out

@@ -1,6 +1,8 @@
 import gc
 import weakref
 
+import pytest
+
 from oak.morphisms import verify_lie_hom
 from oak.scalars import ScalarContext
 
@@ -15,3 +17,20 @@ def test_realization_images_die_with_their_context():
         del ctx
     gc.collect()
     assert [r() for r in refs] == [None, None, None]
+
+
+def test_laurent_tables_share_read_only_offsets_per_shape():
+    from oak.characters import char_module
+    from oak.weyl import FullLaurent, QuotientModule
+
+    ctx = ScalarContext(("s",))
+    a = char_module(FullLaurent(ctx, (ctx.rational(1, 3), ctx.rational(1, 2))), 3)
+    b = char_module(FullLaurent(ctx, (ctx.rational(2, 3), ctx.rational(1, 4))), 3)
+    assert a.ref != b.ref and a.entries is b.entries
+    q = char_module(QuotientModule(ctx, (ctx.rational(1, 3), ctx.rational(0)), (2,)), 3)
+    assert q.entries is not a.entries and len(q.entries) < len(a.entries)
+    with pytest.raises(TypeError):
+        a.entries[(0, 0)] = 2
+    other = ScalarContext(("s",))
+    c = char_module(FullLaurent(other, (other.rational(1, 3), other.rational(1, 2))), 3)
+    assert c.entries == a.entries and c.entries is not a.entries

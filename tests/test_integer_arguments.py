@@ -5,7 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from oak.characters import CharTable, classify_flags, compare_characters
+from oak.characters import (
+    CharTable,
+    classify_flags,
+    compare_characters,
+    kostant_partition,
+)
 from oak.liealg import Weight, h_, x_
 from oak.scalars import ScalarContext
 from oak.weyl import FullLaurent, QuotientModule, support
@@ -24,6 +29,8 @@ SITES = {
     "probe depth": lambda v: classify_flags(table(), v),
     "root coordinate": lambda v: x_((v,)),
     "Cartan index": lambda v: h_(v),
+    "partition weight": lambda v: kostant_partition((v,), ((1,),)),
+    "partition root": lambda v: kostant_partition((1,), ((v,),)),
 }
 
 
