@@ -301,7 +301,7 @@ def verma_char(lam, algebra, depth):
     The multiplicity at lambda - mu is the partition count of mu over the
     positive roots of the chosen algebra.
     """
-    if depth < 1:
+    if checked_int(depth, "depth") < 1:
         raise ValueError("depth must be >= 1")
     n = lam.n
     box = ((-2 * depth, 2 * depth),) * n
@@ -314,7 +314,7 @@ def char_module(m, depth):
     The reference weight is the natural top: a_i + 1/2 at free coordinates,
     -1/2 at quotiented ones (their exponents start at -1).
     """
-    if depth < 1:
+    if checked_int(depth, "depth") < 1:
         raise ValueError("depth must be >= 1")
     if not isinstance(m, ModuleDescriptor):
         raise TypeError("expected a Weyl module descriptor")
@@ -389,7 +389,7 @@ def generalized_verma_char(v_char, algebra, depth):
     (roots -(e_i+e_j) and, for the oscillator algebra, -e_i); every offset in
     the result box is computed exactly from the cone, with no truncation.
     """
-    if depth < 1:
+    if checked_int(depth, "depth") < 1:
         raise ValueError("depth must be >= 1")
     box = tuple((lo - 2 * depth, hi + 2 * depth) for lo, hi in v_char.box)
     return _induced_char(
@@ -432,6 +432,8 @@ def finite_simple_sp_char(lam, depth):
     det(w) at 2(w(lambda + rho) - (lambda + rho)).  The highest weight must
     be dominant integral (integers, decreasing, nonnegative).
     """
+    if checked_int(depth, "depth") < 1:
+        raise ValueError("depth must be >= 1")
     n = lam.n
     vals = []
     for v in lam.values:
@@ -514,6 +516,7 @@ def verify_verma_factorization(lam, n, depth):
     The central charge is the package convention s^2 (nonzero as a formal
     symbol); the sp-side highest weight is shifted by (1/2, ..., 1/2).
     """
+    depth = checked_int(depth, "depth")
     if lam.n != n:
         raise ValueError("weight rank mismatch")
     if lam.zdot != lam.ctx.zdot:
@@ -541,6 +544,7 @@ def verify_generalized_factorization(v_char, n, depth):
     shifted by (1/2, ..., 1/2) (the one-dimensional determinant-type twist
     that matches the Shale-Weil top), mirroring the Verma case.
     """
+    depth = checked_int(depth, "depth")
     if v_char.n != n:
         raise ValueError("rank mismatch")
     if v_char.ref.zdot != v_char.ref.ctx.zdot:

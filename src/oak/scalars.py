@@ -11,10 +11,13 @@ The canonical form is sympy's reduced pair over the integers: an integer
 polynomial over either a positive int coprime to its content, or an integer
 polynomial coprime to it with a positive leading coefficient.  It is also
 the printed form.  Polynomials -- every scalar of the first kind, ``(s^2-1)/2``
-included -- are added, multiplied and raised to powers as plain int dicts,
-with one gcd of ints to restore the form; a division of polynomials that
-comes out even stays a polynomial.  Only a fraction with a non-constant
-denominator goes through sympy's ``cancel``.
+included -- are added, subtracted, multiplied and raised to powers as
+plain int dicts, with one gcd of ints to restore the form.  A sum or a
+difference is one pass over both numerators, rescaled only when the
+denominators differ, and a product with a single-term factor is one pass
+over the other factor.  A division of polynomials that comes out even stays
+a polynomial.  Only a fraction with a non-constant denominator goes through
+sympy's ``cancel``.
 """
 
 from __future__ import annotations
@@ -45,10 +48,12 @@ def _scale(poly, k):
     return poly if k == 1 else {m: k * c for m, c in poly.items()}
 
 
-def _add(p, q):
-    out = dict(p)
+def _lincomb(p, a, q, b):
+    """a*p + b*q for nonzero ints a and b, in one pass over each."""
+    out = dict(p) if a == 1 else {m: a * c for m, c in p.items()}
+    get = out.get
     for m, c in q.items():
-        c += out.get(m, 0)
+        c = get(m, 0) + b * c
         if c:
             out[m] = c
         else:
@@ -57,6 +62,15 @@ def _add(p, q):
 
 
 def _mul(p, q, mono):
+    if len(p) < len(q):
+        p, q = q, p
+    if len(q) == 1:
+        # times one term: the monomials stay distinct and nothing cancels
+        ((m2, c2),) = q.items()
+        if len(p) == 1:
+            ((m1, c1),) = p.items()
+            return {mono(m1, m2): c1 * c2}
+        return {mono(m1, m2): c1 * c2 for m1, c1 in p.items()}
     out = {}
     get = out.get
     for m1, c1 in p.items():
@@ -84,8 +98,11 @@ class ScalarContext:
                 raise ValueError(f"invalid symbol name {name!r}")
         self.symbols = symbols
         self._ring = _sympy_ring(",".join(symbols), ZZ)[0]
-        self._mono = self._ring.monomial_mul  # adds two exponent tuples
-        self._origin = (0,) * len(symbols)
+        self._origin = origin = (0,) * len(symbols)
+        # adds two exponent tuples; a constant factor keeps the other tuple,
+        # so products by constants build no new monomials
+        mono = self._ring.monomial_mul
+        self._mono = lambda a, b: a if b == origin else b if a == origin else mono(a, b)
         self._index = {name: k for k, name in enumerate(symbols)}
         # rational constants by value (an int and an equal Fraction share an
         # entry): coercion of ints and Fractions is hot
@@ -194,28 +211,30 @@ class Scalar:
     # Over int denominators the result only needs its content reduced; a
     # true fraction goes through sympy's cancel.
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+    def _sum(self, other, sign):
+        """self + sign * other for sign = 1 or -1."""
         ctx, d1, d2 = self.ctx, self.den, other.den
         if type(d1) is int and type(d2) is int:
-            g = gcd(d1, d2)
-            num = _add(_scale(self.num, d2 // g), _scale(other.num, d1 // g))
+            g = d1 if d1 == d2 else gcd(d1, d2)
+            num = _lincomb(self.num, d2 // g, other.num, sign * (d1 // g))
             return ctx._poly(num, d1 // g * d2)
-        d1, d2 = ctx._lift(d1), ctx._lift(d2)
-        num = _add(_mul(self.num, d2, ctx._mono), _mul(other.num, d1, ctx._mono))
-        return ctx._fraction(num, _mul(d1, d2, ctx._mono))
+        d1, d2, mono = ctx._lift(d1), ctx._lift(d2), ctx._mono
+        num = _lincomb(_mul(self.num, d2, mono), 1, _mul(other.num, d1, mono), sign)
+        return ctx._fraction(num, _mul(d1, d2, mono))
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is None else self._sum(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = self._coerce(other)
-        return NotImplemented if other is None else self + -other
+        return NotImplemented if other is None else self._sum(other, -1)
 
     def __rsub__(self, other):
         other = self._coerce(other)
-        return NotImplemented if other is None else other + -self
+        return NotImplemented if other is None else other._sum(self, -1)
 
     def __mul__(self, other):
         other = self._coerce(other)

@@ -121,22 +121,34 @@ def weyl_mono_product(key1, key2):
     return tuple(out)
 
 
+def weyl_accumulate(out, p, q, sign):
+    """Add ``sign`` (1 or -1) times the product pq into the dict ``out``
+    of normal monomials, in place; entries may cancel to zero scalars."""
+    qterms = q.terms.items() if sign > 0 else [(k, -c) for k, c in q.terms.items()]
+    get = out.get
+    for kp, cp in p.terms.items():
+        for kq, cq in qterms:
+            base = cp * cq
+            for key, coef in weyl_mono_product(kp, kq):
+                add = base if coef == 1 else base * coef
+                cur = get(key)
+                out[key] = add if cur is None else cur + add
+
+
 def weyl_multiply(p, q):
     """Canonical normal form of the product pq."""
     p._check(q)
     out = {}
-    for kp, cp in p.terms.items():
-        for kq, cq in q.terms.items():
-            base = cp * cq
-            for key, coef in weyl_mono_product(kp, kq):
-                add = base if coef == 1 else base * coef
-                cur = out.get(key)
-                out[key] = add if cur is None else cur + add
+    weyl_accumulate(out, p, q, 1)
     return p._like(out)
 
 
 def weyl_commutator(p, q):
-    return weyl_multiply(p, q) - weyl_multiply(q, p)
+    p._check(q)
+    out = {}
+    weyl_accumulate(out, p, q, 1)
+    weyl_accumulate(out, q, p, -1)
+    return p._like(out)
 
 
 # ---------------------------------------------------------------------------

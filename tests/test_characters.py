@@ -232,6 +232,23 @@ def test_finite_simple_requires_dominant_integral():
         finite_simple_sp_char(W([1, 2], 0), 4)
 
 
+@pytest.mark.parametrize("depth", [0, -1])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda d: verma_char(W([0]), "g", d),
+        lambda d: char_module(ShaleWeil(CTX, 1), d),
+        lambda d: generalized_verma_char(delta_char(W([0], 0)), "sp", d),
+        lambda d: finite_simple_sp_char(W([1], 0), d),
+    ],
+    ids=["verma", "module", "generalized", "finite"],
+)
+def test_character_builders_refuse_depth_below_one(build, depth):
+    build(1)
+    with pytest.raises(ValueError, match="depth must be >= 1"):
+        build(depth)
+
+
 # -- classification -----------------------------------------------------------
 
 DEPTH = 28

@@ -7,19 +7,29 @@ import pytest
 
 from oak.characters import (
     CharTable,
+    char_module,
     classify_flags,
     compare_characters,
+    finite_simple_sp_char,
+    generalized_verma_char,
     kostant_partition,
+    verify_generalized_factorization,
+    verify_verma_factorization,
+    verma_char,
 )
 from oak.liealg import Weight, h_, x_
 from oak.scalars import ScalarContext
-from oak.weyl import FullLaurent, QuotientModule, support
+from oak.weyl import FullLaurent, QuotientModule, ShaleWeil, support
 
 CTX = ScalarContext(("s",))
 
 
-def table():
-    return CharTable(Weight(CTX, [CTX.zero], CTX.zero), ((-20, 20),), {(0,): 1})
+def table(zdot=CTX.zero):
+    return CharTable(Weight(CTX, [CTX.zero], zdot), ((-20, 20),), {(0,): 1})
+
+
+def weight(zdot=CTX.zero):
+    return Weight(CTX, [CTX.zero], zdot)
 
 
 SITES = {
@@ -31,6 +41,14 @@ SITES = {
     "Cartan index": lambda v: h_(v),
     "partition weight": lambda v: kostant_partition((v,), ((1,),)),
     "partition root": lambda v: kostant_partition((1,), ((v,),)),
+    "Verma depth": lambda v: verma_char(weight(CTX.zdot), "g", v),
+    "module character depth": lambda v: char_module(ShaleWeil(CTX, 1), v),
+    "generalized Verma depth": lambda v: generalized_verma_char(table(), "sp", v),
+    "finite character depth": lambda v: finite_simple_sp_char(weight(), v),
+    "Verma factorization depth": lambda v: verify_verma_factorization(weight(CTX.zdot), 1, v),
+    "generalized factorization depth": lambda v: verify_generalized_factorization(
+        table(CTX.zdot), 1, v
+    ),
 }
 
 

@@ -199,6 +199,69 @@ def test_mixed_with_python_rationals(a, c):
         assert_matches(c / x, qc / r)
 
 
+# -- the one-pass paths against the slow ones ----------------------------------
+
+int_polys = st.dictionaries(monomials, st.integers(-6, 6).filter(bool), max_size=4)
+single_terms = st.tuples(monomials, constants, st.sampled_from((1, 2, 3, 6)))
+
+
+def as_fractions(poly):
+    return {m: Fraction(c) for m, c in poly.items()}
+
+
+def single(term):
+    """One term c * s^i * a1^j over the constant d."""
+    mon, c, d = term
+    return {mon: c}, {(0, 0): Fraction(d)}
+
+
+@given(values(), values())
+def test_difference_is_the_sum_with_the_negation(a, b):
+    (x, rx), (y, ry) = build(a), build(b)
+    assert_matches(x - y, rx - ry)
+    assert_same(x - y, x + (-y))
+    assert_same(y - x, y + (-x))
+
+
+@given(int_polys, int_polys, st.integers(2, 12))
+def test_equal_denominator_sums_that_cancel(p, w, d):
+    """p/d + (w*d - p)/d is the integer polynomial w: the numerators cancel
+    down to a multiple of d, and the result is over 1."""
+    denom = {(0, 0): Fraction(d)}
+    x, rx = build((as_fractions(p), denom))
+    rest = {m: Fraction(d * w.get(m, 0) - p.get(m, 0)) for m in set(p) | set(w)}
+    y, ry = build((rest, denom))
+    assert type(x.den) is int and x.den == y.den
+    total = x + y
+    assert_matches(total, rx + ry)
+    assert total.den == 1
+    assert_same(total, build((as_fractions(w), ONE))[0])
+    for zero in (x - x, x + (-x), y - y):
+        assert zero.is_zero and zero.den == 1
+        assert_same(zero, CTX.zero)
+
+
+@given(single_terms, single_terms, constants, st.integers(-6, 6))
+def test_single_term_products(a, b, c, k):
+    (x, rx), (y, ry) = build(single(a)), build(single(b))
+    qc = REF.ground_new(QQ(c.numerator, c.denominator))
+    assert_matches(x * y, rx * ry)
+    assert_matches(x * c, rx * qc)
+    assert_matches(c * x, qc * rx)
+    assert_matches(x * k, rx * k)
+    assert_matches(k * y, k * ry)
+    assert_same(x * y, y * x)
+    assert_same(x * c, CTX.rational(c) * x)
+    assert_same(x * k, x * CTX.rational(k))
+
+
+@given(single_terms, values())
+def test_single_term_times_a_sum(a, b):
+    (x, rx), (y, ry) = build(single(a)), build(b)
+    assert_matches(x * y, rx * ry)
+    assert_matches(y * x, ry * rx)
+
+
 @given(st.lists(values(), min_size=2, max_size=6))
 def test_sort_order_matches_reference(drawn):
     pairs = [build(a) for a in drawn]
