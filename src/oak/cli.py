@@ -101,7 +101,7 @@ def _parse_vector(text, ctx):
     """--vector JSON: a list of {"offset": [int, ...], "coefficient": c}."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise ParseError(f"bad vector JSON: {e}")
     if not isinstance(data, list):
         raise ParseError("bad vector JSON: expected a list of terms")
@@ -302,7 +302,7 @@ def cmd_classify(args):
     try:
         with open(args.support, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, json.JSONDecodeError, RecursionError) as e:
         raise ParseError(f"cannot read support table: {e}")
     table = CharTable.from_json_dict(data, ctx)
     flags = classify_flags(table, depth)

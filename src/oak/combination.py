@@ -7,6 +7,10 @@ in.  This base owns that storage and the linear structure; a subclass names
 its space attributes in ``SPACE``, validates keys in ``_key``, and adds its
 own products and formatting.
 
+``add_scaled`` is the one linear-extension step: it sums scaled elements
+into a plain dict of terms, so a map out of a basis builds one element at
+the end instead of two per term.
+
 Some subclasses restate ``__add__``, ``__sub__``, ``__neg__`` or ``scale`` as
 one-line calls to this core.  That gives each class its own function object,
 so a profiler that wraps methods class by class (``perfbench/tracer.py``)
@@ -24,6 +28,17 @@ def checked_int(value, what):
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def add_scaled(out, pairs):
+    """Add the sum of c * e over the (e, c) in ``pairs`` into the dict
+    ``out`` of terms, in place; entries may cancel to zero scalars."""
+    get = out.get
+    for e, c in pairs:
+        for key, v in e.terms.items():
+            v = v * c
+            cur = get(key)
+            out[key] = v if cur is None else cur + v
 
 
 class Combination:

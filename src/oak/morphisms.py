@@ -8,8 +8,9 @@ The oscillator realization sends
     z -> s^2
 
 and the tensor realization sends the sp_2n part to X ⊗ 1 + 1 ⊗ (image above)
-and the Heisenberg part to 1 ⊗ (image above).  Both are verified pair by pair
-rather than assumed.
+and the Heisenberg part to 1 ⊗ (image above).  Each image above is one
+normal monomial, written in closed form, and every map out of g_n extends
+linearly through ``add_scaled``.  Both are verified pair by pair.
 
 Twists are handled through their binomial conjugation series
 theta_b(u) = sum_j C(b,j) (ad X_{-2e_i})^j(u) X_{-2e_i}^(-j), which truncates
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial as _math_factorial
 
-from .combination import Combination, checked_int
+from .combination import Combination, add_scaled, checked_int
 from .liealg import (
     LieElement,
     basis,
@@ -34,7 +35,7 @@ from .liealg import (
     x_,
 )
 from .scalars import ScalarContext
-from .uea import engine
+from .uea import UEAElement, engine
 from .weyl import (
     FullLaurent,
     LaurentVector,
@@ -43,12 +44,7 @@ from .weyl import (
     apply_inverse_lowering,
     weyl_accumulate,
     weyl_mono_product,
-    weyl_multiply,
 )
-
-
-def _half(ctx):
-    return ctx.rational(1, 2)
 
 
 def f_basis(ctx, n, b):
@@ -61,47 +57,27 @@ def f_basis(ctx, n, b):
 
 def _f_basis(ctx, n, b):
     validate_element(b, n)
+    zero = (0,) * n
     if b.kind == "z":
-        return WeylElement.unit(ctx, n).scale(ctx.zdot)
+        return WeylElement(ctx, n, {(zero, zero): ctx.zdot})
     if b.kind == "h":
-        i = b.tag[0]
-        ti_di = weyl_multiply(WeylElement.t(ctx, n, i), WeylElement.d(ctx, n, i))
-        return ti_di + WeylElement.unit(ctx, n).scale(_half(ctx))
+        e_i = tuple(int(k == b.tag[0] - 1) for k in range(n))
+        return WeylElement(ctx, n, {(e_i, e_i): 1, (zero, zero): ctx.rational(1, 2)})
+    # X_r -> c t^(r+) d^(r-): c is s on the Heisenberg roots, and negated when
+    # the entries of r sum below zero
     root = b.tag
-    pos = [(i + 1, c) for i, c in enumerate(root) if c > 0]
-    neg = [(i + 1, -c) for i, c in enumerate(root) if c < 0]
-    if sum(abs(c) for c in root) == 1:
-        if pos:
-            return WeylElement.t(ctx, n, pos[0][0]).scale(ctx.s)
-        return WeylElement.d(ctx, n, neg[0][0]).scale(-ctx.s)
-    if pos and neg:  # e_i - e_j
-        return weyl_multiply(
-            WeylElement.t(ctx, n, pos[0][0]), WeylElement.d(ctx, n, neg[0][0])
-        )
-    if pos:  # e_i + e_j (possibly i == j)
-        idx = []
-        for i, c in pos:
-            idx.extend([i] * c)
-        return weyl_multiply(
-            WeylElement.t(ctx, n, idx[0]), WeylElement.t(ctx, n, idx[1])
-        )
-    idx = []
-    for i, c in neg:
-        idx.extend([i] * c)
-    return weyl_multiply(
-        WeylElement.d(ctx, n, idx[0]), WeylElement.d(ctx, n, idx[1])
-    ).scale(-1)
+    c = ctx.s if sum(abs(x) for x in root) == 1 else ctx.one
+    key = (tuple(max(x, 0) for x in root), tuple(max(-x, 0) for x in root))
+    return WeylElement(ctx, n, {key: -c if sum(root) < 0 else c})
 
 
 def f_map(x, n=None):
     """Linear extension of the oscillator realization to Lie elements."""
     if n is not None and n != x.n:
         raise ValueError("rank mismatch")
-    n = x.n
-    out = WeylElement(x.ctx, n)
-    for b, c in x.terms.items():
-        out = out + f_basis(x.ctx, n, b).scale(c)
-    return out
+    out = {}
+    add_scaled(out, ((f_basis(x.ctx, x.n, b), c) for b, c in x.terms.items()))
+    return WeylElement(x.ctx, x.n)._like(out)
 
 
 # ---------------------------------------------------------------------------
@@ -203,23 +179,18 @@ def phi_basis(ctx, n, b):
 
 
 def _phi_basis(ctx, n, b):
-    validate_element(b, n)
-    if b.kind == "z":
-        return TensorElement.unit(ctx, n).scale(ctx.zdot)
+    image = TensorElement.from_weyl(f_basis(ctx, n, b))
     if is_sp(b):
         # X ⊗ 1 + 1 ⊗ f(X); the 1/2 of h_i stays with the Weyl factor
-        return TensorElement.from_sp(ctx, n, b) + TensorElement.from_weyl(
-            f_basis(ctx, n, b)
-        )
-    return TensorElement.from_weyl(f_basis(ctx, n, b))
+        return TensorElement.from_sp(ctx, n, b) + image
+    return image
 
 
 def phi_lie(x):
     """phi on a Lie element (z allowed; it maps to the central charge)."""
-    out = TensorElement(x.ctx, x.n)
-    for b, c in x.terms.items():
-        out = out + phi_basis(x.ctx, x.n, b).scale(c)
-    return out
+    out = {}
+    add_scaled(out, ((phi_basis(x.ctx, x.n, b), c) for b, c in x.terms.items()))
+    return TensorElement(x.ctx, x.n)._like(out)
 
 
 def _phi_mono(ctx, n, mono):
@@ -246,33 +217,25 @@ def phi_map(u, n=None):
     """
     if n is not None and n != u.n:
         raise ValueError("rank mismatch")
-    n = u.n
-    ctx = u.ctx
-    eng = engine(n, "g")
-    zi = eng.z_index
-    out = TensorElement(ctx, n)
-    for mono, c in u.terms.items():
-        if any(idx == zi for idx, _ in mono):
-            raise ValueError("phi_map expects input with no z factor; reduce first")
-        out = out + _phi_mono(ctx, n, mono).scale(c)
-    return out
+    zi = engine(u.n, "g").z_index
+    if any(idx == zi for mono in u.terms for idx, _ in mono):
+        raise ValueError("phi_map expects input with no z factor; reduce first")
+    out = {}
+    add_scaled(out, ((_phi_mono(u.ctx, u.n, mono), c) for mono, c in u.terms.items()))
+    return TensorElement(u.ctx, u.n)._like(out)
 
 
 def iota_sp(u):
-    """The embedding of U(sp_2n) into the tensor algebra."""
+    """The embedding of U(sp_2n) into the tensor algebra: phi on the sp
+    monomials reindexed into g, whose basis order contains the sp order."""
     if u.part != "sp":
         raise ValueError("iota_sp expects an sp enveloping-algebra element")
-    ctx, n = u.ctx, u.n
-    eng = engine(n, "sp")
-    out = TensorElement(ctx, n)
-    for mono, c in u.terms.items():
-        term = TensorElement.unit(ctx, n)
-        for idx, e in mono:
-            img = phi_basis(ctx, n, eng.elements[idx])
-            for _ in range(e):
-                term = term * img
-        out = out + term.scale(c)
-    return out
+    sp, g = engine(u.n, "sp"), engine(u.n, "g")
+    terms = {
+        tuple((g.index[sp.elements[idx]], e) for idx, e in mono): c
+        for mono, c in u.terms.items()
+    }
+    return phi_map(UEAElement(u.ctx, u.n, terms))
 
 
 def iota_heisenberg(ctx, n, b):
@@ -280,7 +243,7 @@ def iota_heisenberg(ctx, n, b):
     validate_element(b, n)
     if b.kind != "x" or sum(abs(c) for c in b.tag) != 1:
         raise ValueError("iota_heisenberg takes X_{+e_i} or X_{-e_i}")
-    return TensorElement.from_weyl(f_basis(ctx, n, b))
+    return phi_basis(ctx, n, b)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +276,7 @@ def verify_lie_hom(map_kind, n, ctx=None):
     """Check image([x,y]) = [image(x), image(y)] over all unordered basis pairs.
 
     Each pair's residual image([x,y]) - image(x)image(y) + image(y)image(x)
-    is summed into one dict: image([x,y]) term by term from the basis
+    is summed into one dict: image([x,y]) by ``add_scaled`` from the basis
     images, the products by the target algebra's kernel (``weyl_accumulate``
     for f, ``tensor_accumulate`` for phi).  A residual element is built, and
     printed, only when a coefficient is nonzero.
@@ -334,11 +297,8 @@ def verify_lie_hom(map_kind, n, ctx=None):
         for b in elems[i:]:
             report.pairs_checked += 1
             resid = {}
-            for g, c in bracket(gens[a], gens[b]).terms.items():
-                for key, v in images[g].terms.items():
-                    v = v * c
-                    cur = resid.get(key)
-                    resid[key] = v if cur is None else cur + v
+            bra = bracket(gens[a], gens[b])
+            add_scaled(resid, ((images[g], c) for g, c in bra.terms.items()))
             accumulate(resid, images[a], images[b], -1)
             accumulate(resid, images[b], images[a], 1)
             if any(resid.values()):
@@ -395,13 +355,13 @@ class LocalizedOperator:
                 self.terms.append((c, lie, i, j))
 
     def act(self, v, module):
-        out = LaurentVector(v.ctx, v.base)
+        out = {}
         for c, lie, i, j in self.terms:
             w = apply_inverse_lowering(v, i, module, j) if j else v
             if lie is not None:
                 w = apply(f_map(lie), w, module)
-            out = out + w.scale(c)
-        return out
+            add_scaled(out, [(w, c)])
+        return v._like(out)
 
     def canonical(self):
         """Combine terms by (index, inverse power); identity parts get their

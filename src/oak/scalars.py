@@ -175,7 +175,10 @@ class ScalarContext:
         """Parse ``(s^2-1)/2`` style syntax into a scalar."""
         tokens = tokenize(text)
         parser = _ScalarParser(self, tokens, text)
-        value = parser.parse_expr()
+        try:
+            value = parser.parse_expr()
+        except RecursionError:
+            raise ParseError("expression nested too deeply", text) from None
         parser.expect_end()
         return value
 

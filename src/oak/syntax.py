@@ -183,10 +183,13 @@ class _ElementParser:
         negate = False
         if kind in ("+", "-"):
             negate = self.sp.next()[0] == "-"
-        total = parse_term(negate)
-        while self.peek()[0] in ("+", "-"):
-            negate = self.sp.next()[0] == "-"
-            total = total + parse_term(negate)
+        try:
+            total = parse_term(negate)
+            while self.peek()[0] in ("+", "-"):
+                negate = self.sp.next()[0] == "-"
+                total = total + parse_term(negate)
+        except RecursionError:
+            raise ParseError("expression nested too deeply", self.text) from None
         kind, value, pos = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected token {value!r}", self.text, pos)

@@ -301,31 +301,24 @@ class VermaVector(Combination):
 def act_on_verma(u, v):
     """Apply an enveloping-algebra element to a Verma vector.
 
-    Normal-orders the product word; monomials whose rightmost factor lies in
-    n_+ die against the highest-weight generator, Cartan and central factors
-    evaluate against the weight, and what remains is an n_- monomial.
+    Multiplies u by v's n_- monomials; monomials whose rightmost factor lies
+    in n_+ die against the highest-weight generator, Cartan and central
+    factors evaluate against the weight, and what remains is an n_- monomial.
     """
     if u.ctx is not v.ctx or u.n != v.n or u.part != "g":
         raise ValueError("rank or context mismatch")
     eng = engine(u.n, "g")
-    ctx = u.ctx
     lam = v.weight
     out = {}
-    for mu, cu in u.terms.items():
-        wu = eng.word_of_monomial(mu)
-        for mv, cv in v.terms.items():
-            raw = eng.normal_word(wu + eng.word_of_monomial(mv))
-            cuv = cu * cv
-            for mono, c in raw.items():
-                neg, car, pos = eng.split_blocks(mono)
-                if pos:
-                    continue
-                factor = ctx.rational(c)
-                for idx, e in car:
-                    if idx == eng.z_index:
-                        factor = factor * lam.zdot ** e
-                    else:
-                        factor = factor * lam.values[idx - eng.neg_end] ** e
-                cur = out.get(neg)
-                out[neg] = cuv * factor if cur is None else cur + cuv * factor
+    for mono, c in multiply(u, UEAElement(u.ctx, u.n, v.terms)).terms.items():
+        neg, car, pos = eng.split_blocks(mono)
+        if pos:
+            continue
+        for idx, e in car:
+            if idx == eng.z_index:
+                c = c * lam.zdot ** e
+            else:
+                c = c * lam.values[idx - eng.neg_end] ** e
+        cur = out.get(neg)
+        out[neg] = c if cur is None else cur + c
     return v._like(out)

@@ -381,10 +381,8 @@ def straighten_highest(w, i, module=None):
     l = len(powers) - 2
 
     result = comps
-    tk = comps
     for k in range(1, l + 1):
-        tk = _sum_apply(ti, tk, module)
-        corr = tk
+        corr = powers[k]
         for _ in range(k):
             corr = _sum_apply(di, corr, module)
         inv = Fraction(1, factorial(k))

@@ -5,7 +5,8 @@ import pytest
 from oak.cli import main
 from oak.characters import delta_char, generalized_verma_char
 from oak.liealg import Weight
-from oak.scalars import ScalarContext
+from oak.scalars import ParseError, ScalarContext
+from oak.syntax import parse_weyl_element
 
 
 def run(capsys, *argv):
@@ -158,6 +159,44 @@ def test_malformed_inputs_exit_2(capsys):
         capsys, "bracket", "--rank", "1", "q*X[+e1]", "z"
     )
     assert code == 2 and "q" in err
+
+
+# nesting deep enough to exhaust Python's recursion limit in a recursive parser
+DEEP = 5000
+
+
+def test_deeply_nested_scalar_exits_2(capsys):
+    coeff = "(" * 400 + "1" + ")" * 400
+    code, out, err = run(capsys, "bracket", "--rank", "1", f"{coeff}*X[+e1]", "X[-e1]")
+    assert code == 2 and not out
+    assert err.startswith("error:") and "nested too deeply" in err
+
+
+def test_deeply_nested_vector_json_exits_2(capsys):
+    code, out, err = run(
+        capsys, "act", "--rank", "1", "--module", "S", "--op", "d1",
+        "--vector", "[" * DEEP,
+    )
+    assert code == 2 and not out
+    assert err.startswith("error: bad vector JSON")
+
+
+def test_deeply_nested_support_table_exits_2(capsys, tmp_path):
+    path = tmp_path / "support.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run(capsys, "classify", "--support", str(path))
+    assert code == 2 and not out
+    assert err.startswith("error: cannot read support table")
+
+
+def test_deeply_nested_parse_is_a_parse_error():
+    ctx = ScalarContext(("s",))
+    with pytest.raises(ParseError, match="nested too deeply"):
+        ctx.parse("(" * DEEP + "s" + ")" * DEEP)
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_weyl_element("(" * DEEP + "1" + ")" * DEEP + "*t1", ctx, 1)
+    # the parser still works after the recursion limit was hit
+    assert ctx.parse("((s))") == ctx.symbol("s")
 
 
 def test_unknown_command_exits_2(capsys):
