@@ -25,7 +25,7 @@ from .characters import (
 )
 from .liealg import Weight
 from .morphisms import TwistSpec, verify_lie_hom, verify_theta_conjugation
-from .scalars import ParseError, ScalarContext
+from .scalars import ParseError, ScalarContext, quote
 from .syntax import (
     parse_lie_element,
     parse_module_descriptor,
@@ -40,7 +40,7 @@ def _positive_int(text):
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+        raise argparse.ArgumentTypeError(f"{quote(text)} is not an integer")
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
     return value
@@ -53,7 +53,7 @@ def _default_probe_depth():
     try:
         depth = int(raw)
     except ValueError:
-        raise ParseError(f"OAK_PROBE_DEPTH must be an integer, got {raw!r}")
+        raise ParseError(f"OAK_PROBE_DEPTH must be an integer, got {quote(raw)}")
     if depth < 1:
         raise ParseError("OAK_PROBE_DEPTH must be >= 1")
     return depth
@@ -109,13 +109,13 @@ def _parse_vector(text, ctx):
     for entry in data:
         if not (isinstance(entry, dict) and {"offset", "coefficient"} <= entry.keys()):
             raise ParseError(
-                f"bad vector JSON: term {entry!r} is not an object "
+                f"bad vector JSON: term {quote(entry)} is not an object "
                 "with an offset and a coefficient"
             )
         off = entry["offset"]
         if not isinstance(off, list) or not all(type(c) is int for c in off):
             raise ParseError(
-                f"bad vector JSON: offset {off!r} is not a list of integers"
+                f"bad vector JSON: offset {quote(off)} is not a list of integers"
             )
         if tuple(off) in terms:
             raise ParseError(f"bad vector JSON: offset {off} appears twice")
@@ -179,7 +179,7 @@ def cmd_support(args):
     lo, hi = [], []
     for piece in args.box.split(","):
         if ":" not in piece:
-            raise ParseError(f"box entries look like lo:hi, got {piece!r}")
+            raise ParseError(f"box entries look like lo:hi, got {quote(piece)}")
         a, b = piece.split(":", 1)
         lo.append(int(a))
         hi.append(int(b))

@@ -336,7 +336,8 @@ class LocalizedOperator:
     """Finite sum of terms  c * (Lie element) * X_{-2e_i}^(-j).
 
     Realized on Laurent-type modules by acting with the inverse first and the
-    oscillator realization of the Lie element second.
+    oscillator realization of the Lie element second.  The realization of
+    each term is built once, with the operator, and serves every ``act``.
     """
 
     def __init__(self, ctx, n, terms):
@@ -353,13 +354,16 @@ class LocalizedOperator:
                 raise ValueError(f"inverse power {j} is negative")
             if not c.is_zero and not (lie is not None and lie.is_zero):
                 self.terms.append((c, lie, i, j))
+        self._images = [
+            (c, None if lie is None else f_map(lie), i, j) for c, lie, i, j in self.terms
+        ]
 
     def act(self, v, module):
         out = {}
-        for c, lie, i, j in self.terms:
+        for c, image, i, j in self._images:
             w = apply_inverse_lowering(v, i, module, j) if j else v
-            if lie is not None:
-                w = apply(f_map(lie), w, module)
+            if image is not None:
+                w = apply(image, w, module)
             add_scaled(out, [(w, c)])
         return v._like(out)
 
@@ -557,19 +561,14 @@ def _division_reach(op, powers):
 
 
 def _probe_scale(module, off, reach):
-    """D for the probe t^off: the product of the factors in ``reach``, or
-    one if any of them is zero.  Each index's factors are multiplied first,
-    which keeps the products small."""
-    ctx = module.ctx
-    scale = ctx.one
+    """D for the probe t^off: the product of the module's factor products
+    over ``reach``, or one if any of them has a zero factor."""
+    scale = module.ctx.one
     for i, top in reach:
-        e = module.base[i - 1] + off[i - 1]
-        part = ctx.one
-        for r in range(1, top + 1):
-            factor = e + r
-            if factor.is_zero:
-                return ctx.one
-            part = part * factor
+        o = off[i - 1]
+        part = module.factor_product(i, o + 1, o + top)
+        if part is None:
+            return module.ctx.one
         scale = scale * part
     return scale
 

@@ -16,8 +16,9 @@ plain int dicts, with one gcd of ints to restore the form.  A sum or a
 difference is one pass over both numerators, rescaled only when the
 denominators differ, and a product with a single-term factor is one pass
 over the other factor.  A division of polynomials that comes out even stays
-a polynomial.  Only a fraction with a non-constant denominator goes through
-sympy's ``cancel``.
+a polynomial: oak divides the int dicts itself, by leading terms, and gives
+up at the first leading term that does not divide.  Only a fraction with a
+non-constant denominator goes through sympy, to its ``cancel``.
 """
 
 from __future__ import annotations
@@ -31,12 +32,30 @@ from sympy.polys.rings import ring as _sympy_ring
 _NAME_OK = lambda t: t.isidentifier()
 
 
+QUOTE_LIMIT = 40
+
+
+def quote(value, start=0):
+    """``repr(value)`` for an error message.  A string longer than
+    QUOTE_LIMIT characters is cut to that many from ``start`` on, and its
+    full length stated; any other value is quoted by its repr, cut the same
+    way."""
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) <= QUOTE_LIMIT:
+        return repr(value)
+    start = max(0, min(start, len(text) - QUOTE_LIMIT))
+    end = start + QUOTE_LIMIT
+    head, tail = "..." if start else "", "..." if end < len(text) else ""
+    return f"{head}{text[start:end]!r}{tail} ({len(text)} characters)"
+
+
 class ParseError(ValueError):
     """Malformed textual input; carries the offending token and position."""
 
     def __init__(self, message, text=None, pos=None):
         if text is not None and pos is not None:
-            message = f"{message} (at position {pos} in {text!r})"
+            window = quote(text, pos - QUOTE_LIMIT // 2)
+            message = f"{message} (at position {pos} in {window})"
         super().__init__(message)
         self.text = text
         self.pos = pos
@@ -78,6 +97,37 @@ def _mul(p, q, mono):
             m = mono(m1, m2)
             out[m] = get(m, 0) + c1 * c2
     return {m: c for m, c in out.items() if c}
+
+
+def _divide(num, divisor, mono):
+    """num / divisor as a polynomial if the division is exact, else None.
+
+    Division by leading terms in lex order: the leading term of the
+    remainder is divided by that of the divisor until nothing remains.  Over
+    the integers, by a primitive divisor, an exact quotient is integral, so
+    the first leading monomial or coefficient that does not divide proves
+    the division inexact.
+    """
+    lead = max(divisor)
+    lc = divisor[lead]
+    rest = [(m, c) for m, c in divisor.items() if m != lead]
+    rem = dict(num)
+    quotient = {}
+    while rem:
+        top = max(rem)
+        shift = tuple(t - l for t, l in zip(top, lead))
+        q, r = divmod(rem.pop(top), lc)
+        if r or min(shift) < 0:
+            return None
+        quotient[shift] = q
+        for m, c in rest:
+            m = mono(m, shift)
+            c = rem.get(m, 0) - q * c
+            if c:
+                rem[m] = c
+            else:
+                del rem[m]
+    return quotient
 
 
 class ScalarContext:
@@ -265,10 +315,10 @@ class Scalar:
             c = gcd(*n2.values())
             if len(n2) == 1 and ctx._origin in n2:
                 return ctx._poly(_scale(n1, n2[ctx._origin] // c * d2), d1 * c)
-            divisor = ctx._ring.from_dict({m: v // c for m, v in n2.items()})
-            quotient, remainder = ctx._ring.from_dict(n1).div(divisor)
-            if not remainder:
-                return ctx._poly(_scale(dict(quotient), d2), d1 * c)
+            primitive = n2 if c == 1 else {m: v // c for m, v in n2.items()}
+            quotient = _divide(n1, primitive, ctx._mono)
+            if quotient is not None:
+                return ctx._poly(_scale(quotient, d2), d1 * c)
         return ctx._fraction(
             _mul(n1, ctx._lift(d2), ctx._mono), _mul(ctx._lift(d1), n2, ctx._mono)
         )
@@ -380,12 +430,6 @@ class Scalar:
         if not den:
             raise ZeroDivisionError("denominator vanishes under substitution")
         return sub(self.num) / den
-
-    def sort_key(self):
-        return (
-            tuple(sorted(self.num.items())),
-            tuple(sorted(self.ctx._lift(self.den).items())),
-        )
 
     def __str__(self):
         num = _poly_str(self.num, self.ctx.symbols)
@@ -500,7 +544,7 @@ class _ScalarParser:
     def expect_end(self):
         kind, value, pos = self.peek()
         if kind != "end":
-            raise ParseError(f"unexpected token {value!r}", self.text, pos)
+            raise ParseError(f"unexpected token {quote(value)}", self.text, pos)
 
     def parse_expr(self):
         kind, _, _ = self.peek()
@@ -554,7 +598,7 @@ class _ScalarParser:
             return self.ctx.rational(int(value))
         if kind == "name":
             if value not in self.ctx._index:
-                raise ParseError(f"unknown symbol {value!r}", self.text, pos)
+                raise ParseError(f"unknown symbol {quote(value)}", self.text, pos)
             return self.ctx.symbol(value)
         if kind == "(":
             inner = self.parse_expr()
@@ -562,4 +606,4 @@ class _ScalarParser:
             if ckind != ")":
                 raise ParseError("expected ')'", self.text, cpos)
             return inner
-        raise ParseError(f"unexpected token {value!r}", self.text, pos)
+        raise ParseError(f"unexpected token {quote(value)}", self.text, pos)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 
 from .liealg import LieElement, Z, h_, is_root, x_
-from .scalars import ParseError, _ScalarParser, _is_sum, tokenize
+from .scalars import ParseError, _ScalarParser, _is_sum, quote, tokenize
 from .weyl import WeylElement, weyl_multiply
 
 _ROOT_TERM = re.compile(r"([+-]?)(\d*)e(\d+)")
@@ -139,7 +139,7 @@ def parse_root(body, n, text=None, pos=None):
     consumed = 0
     for m in _ROOT_TERM.finditer(body):
         if m.start() != consumed:
-            raise ParseError(f"bad root syntax {body!r}", text, pos)
+            raise ParseError(f"bad root syntax {quote(body)}", text, pos)
         consumed = m.end()
         sign = -1 if m.group(1) == "-" else 1
         mag = int(m.group(2)) if m.group(2) else 1
@@ -148,9 +148,9 @@ def parse_root(body, n, text=None, pos=None):
             raise ParseError(f"coordinate e{i} out of range for rank {n}", text, pos)
         vec[i - 1] += sign * mag
     if consumed != len(body):
-        raise ParseError(f"bad root syntax {body!r}", text, pos)
+        raise ParseError(f"bad root syntax {quote(body)}", text, pos)
     if not is_root(vec, n):
-        raise ParseError(f"{body!r} is not a rank-{n} root", text, pos)
+        raise ParseError(f"{quote(body)} is not a rank-{n} root", text, pos)
     return tuple(vec)
 
 
@@ -163,7 +163,7 @@ def parse_basis_token(token, n, text=None, pos=None):
         if not 1 <= i <= n:
             raise ParseError(f"Cartan index {i} out of range for rank {n}", text, pos)
         return h_(i)
-    raise ParseError(f"unknown basis element {token!r}", text, pos)
+    raise ParseError(f"unknown basis element {quote(token)}", text, pos)
 
 
 class _ElementParser:
@@ -192,7 +192,7 @@ class _ElementParser:
             raise ParseError("expression nested too deeply", self.text) from None
         kind, value, pos = self.peek()
         if kind != "end":
-            raise ParseError(f"unexpected token {value!r}", self.text, pos)
+            raise ParseError(f"unexpected token {quote(value)}", self.text, pos)
         return total
 
 
@@ -230,7 +230,7 @@ def parse_lie_element(text, ctx, n):
             expect_factor = False
         if expect_factor and elem is None:
             kind, value, pos = parser.peek()
-            raise ParseError(f"expected a term, got {value!r}", text, pos)
+            raise ParseError(f"expected a term, got {quote(value)}", text, pos)
         if elem is None:
             if coeff.is_zero:  # "0" round-trips to the zero element
                 return LieElement(ctx, n)
@@ -294,7 +294,7 @@ def parse_weyl_element(text, ctx, n):
                 break
         if not saw_factor:
             kind, value, pos = parser.peek()
-            raise ParseError(f"expected a term, got {value!r}", text, pos)
+            raise ParseError(f"expected a term, got {quote(value)}", text, pos)
         if negate:
             coeff = -coeff
         return op.scale(coeff)
@@ -319,7 +319,7 @@ def parse_module_descriptor(text, ctx, n=None):
             raise ParseError("rank needed for 'S'", text)
         return ShaleWeil(ctx, n)
     if kind not in ("F", "G"):
-        raise ParseError(f"unknown module kind {kind!r}", text)
+        raise ParseError(f"unknown module kind {quote(kind)}", text)
     if len(parts) != 2:
         raise ParseError("missing base exponents", text)
     base = [ctx.parse(p) for p in parts[1].split(",")]

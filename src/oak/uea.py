@@ -283,12 +283,6 @@ class VermaVector(Combination):
     def highest(cls, ctx, n, weight):
         return cls(ctx, n, weight, {(): ctx.one})
 
-    def term_weight(self, mono):
-        """Weight of one term: lambda plus the (negative) roots of its factors."""
-        eng = engine(self.n, "g")
-        off = eng.mono_weight(mono)
-        return self.weight.shift(off)
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=_by_degree)
 

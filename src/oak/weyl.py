@@ -7,7 +7,10 @@ polynomial directions of the integer coordinates, and the Shale-Weil module
 S (the full quotient at a = 0, spanned by strictly negative exponents).
 
 Inverses of -d_i^2 are never formed symbolically; they act directly on module
-vectors by exact division, which is all the localization twists need.
+vectors by exact division, which is all the localization twists need.  The
+factor products both directions need -- the falling factorial of d_i^k and
+the divisor of the inverse -- belong to the module: ``factor_product`` builds
+prod_k (a_i + k) over a range once and keeps it as long as the module lives.
 """
 
 from __future__ import annotations
@@ -158,9 +161,13 @@ def weyl_commutator(p, q):
 class ModuleDescriptor:
     """Common interface: a base exponent vector and the quotiented index set."""
 
-    rank: int
-    base: tuple
-    quotiented: frozenset
+    def __init__(self, ctx, base, quotiented=()):
+        self.ctx = ctx
+        self.base = tuple(ctx.coerce(b) for b in base)
+        self.rank = len(self.base)
+        self.quotiented = frozenset(checked_int(i, "quotiented index") for i in quotiented)
+        # factor products by absolute range (i, lo, hi); see factor_product
+        self._products = {}
 
     def check_vector(self, v):
         if v.ctx is not self.ctx or v.base != self.base:
@@ -172,15 +179,28 @@ class ModuleDescriptor:
     def admits(self, off):
         return all(off[i - 1] <= -1 for i in self.quotiented)
 
+    def factor_product(self, i, lo, hi):
+        """prod_{k=lo..hi} (a_i + k), one for an empty range, or None when a
+        factor vanishes; built in one loop and kept by its range, so every
+        caller asking for the same factors shares it."""
+        key = (i, lo, hi)
+        products = self._products
+        if key in products:
+            return products[key]
+        a = self.base[i - 1]
+        out = self.ctx.one
+        for k in range(lo, hi + 1):
+            factor = a + k
+            if factor.is_zero:
+                out = None
+                break
+            out = out * factor
+        products[key] = out
+        return out
+
 
 class FullLaurent(ModuleDescriptor):
     """F(a): all Laurent offsets around the base exponent a."""
-
-    def __init__(self, ctx, base):
-        self.ctx = ctx
-        self.base = tuple(ctx.coerce(b) for b in base)
-        self.rank = len(self.base)
-        self.quotiented = frozenset()
 
     def __str__(self):
         return "F " + ",".join(str(b) for b in self.base)
@@ -194,10 +214,7 @@ class QuotientModule(ModuleDescriptor):
     """
 
     def __init__(self, ctx, base, quotiented):
-        self.ctx = ctx
-        self.base = tuple(ctx.coerce(b) for b in base)
-        self.rank = len(self.base)
-        self.quotiented = frozenset(checked_int(i, "quotiented index") for i in quotiented)
+        super().__init__(ctx, base, quotiented)
         for i in self.quotiented:
             _check_index(i, self.rank)
             if not self.base[i - 1].is_zero:
@@ -273,65 +290,55 @@ def apply(p, v, m):
     if p.ctx is not v.ctx or p.n != v.rank:
         raise ValueError("operator and vector ranks or contexts differ")
     m.check_vector(v)
-    ctx = p.ctx
     out = {}
     for off, cv in v.terms.items():
         for (alpha, beta), cp in p.terms.items():
-            # falling-factorial factor prod_i prod_{r < beta_i} (a_i + m_i - r):
-            # a polynomial, multiplied into the coefficient once
-            fac = ctx.one
-            dead = False
-            for i, (bi, oi) in enumerate(zip(beta, off)):
-                e = m.base[i] + oi
-                for r in range(bi):
-                    factor = e - r
-                    if factor.is_zero:
-                        dead = True
-                        break
-                    fac = fac * factor
-                if dead:
-                    break
-            if dead:
-                continue
             new = tuple(o + a - b for o, a, b in zip(off, alpha, beta))
             if not m.admits(new):
                 continue
+            # d_i^b_i multiplies by the module's product of a_i + k over
+            # k = m_i - b_i + 1 .. m_i; a vanishing factor drops the term
             c = cv * cp
-            if not fac.is_one:
-                c = c * fac
-            cur = out.get(new)
-            out[new] = c if cur is None else cur + c
+            for i, (bi, oi) in enumerate(zip(beta, off), 1):
+                if bi:
+                    part = m.factor_product(i, oi - bi + 1, oi)
+                    if part is None:
+                        break
+                    c = c * part
+            else:
+                cur = out.get(new)
+                out[new] = c if cur is None else cur + c
     return v._like(out)
 
 
 def apply_inverse_lowering(v, i, m, power=1):
     """Act by (-d_i^2)^(-power); defined wherever the division is exact.
 
-    Raises ZeroDivisionError when a factor a_i + m_i + r vanishes, which
-    signals an invalid base exponent for the localized action.
+    t^(a+m) goes to (-1)^power t^(a+m+2 power e_i) divided by the module's
+    product of a_i + m_i + r over r = 1..2 power.  Raises ZeroDivisionError
+    when a factor vanishes, which signals an invalid base exponent for the
+    localized action.
     """
+    i = checked_int(i, "lowering index")
+    power = checked_int(power, "inverse power")
     _check_index(i, m.rank)
     if i in m.quotiented:
         raise ValueError(f"coordinate {i} is quotiented; the inverse is undefined")
     if power < 0:
         raise ValueError("power must be nonnegative")
     m.check_vector(v)
-    ctx = v.ctx
     out = {}
     for off, c in v.terms.items():
-        e = m.base[i - 1] + off[i - 1]
-        denom = ctx.one
-        for r in range(1, 2 * power + 1):
-            factor = e + r
-            if factor.is_zero:
-                raise ZeroDivisionError(
-                    f"localized action undefined: exponent factor vanishes at {off}"
-                )
-            denom = denom * factor
+        o = off[i - 1]
+        denom = m.factor_product(i, o + 1, o + 2 * power)
+        if denom is None:
+            raise ZeroDivisionError(
+                f"localized action undefined: exponent factor vanishes at {off}"
+            )
         c = c / denom
         if power % 2:
             c = -c
-        new = off[:i - 1] + (off[i - 1] + 2 * power,) + off[i:]
+        new = off[:i - 1] + (o + 2 * power,) + off[i:]
         out[new] = c
     return v._like(out)
 

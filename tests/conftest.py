@@ -1,5 +1,5 @@
-"""Suite-wide settings: one deterministic hypothesis profile, and a counter
-of sympy's gcd cancel.
+"""Suite-wide settings: one deterministic hypothesis profile, and counters
+of sympy's gcd cancel and of its polynomial division.
 
 ``derandomize`` derives every property test's examples from the test itself,
 so each run of the suite checks the same cases and a failure reproduces.
@@ -16,15 +16,27 @@ settings.register_profile("oak", derandomize=True, deadline=None, max_examples=6
 settings.load_profile("oak")
 
 
+def _counted(monkeypatch, name):
+    """A list that grows by one on every call of ``PolyElement.<name>``."""
+    calls = []
+    method = getattr(PolyElement, name)
+
+    def counting(self, *args):
+        calls.append(None)
+        return method(self, *args)
+
+    monkeypatch.setattr(PolyElement, name, counting)
+    return calls
+
+
 @pytest.fixture
 def cancel_calls(monkeypatch):
     """A list that grows by one on every call of sympy's gcd cancel."""
-    calls = []
-    cancel = PolyElement.cancel
+    return _counted(monkeypatch, "cancel")
 
-    def counting(self, other):
-        calls.append(None)
-        return cancel(self, other)
 
-    monkeypatch.setattr(PolyElement, "cancel", counting)
-    return calls
+@pytest.fixture
+def div_calls(monkeypatch):
+    """A list that grows by one on every call of sympy's polynomial
+    division."""
+    return _counted(monkeypatch, "div")

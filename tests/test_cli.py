@@ -189,6 +189,36 @@ def test_deeply_nested_support_table_exits_2(capsys, tmp_path):
     assert err.startswith("error: cannot read support table")
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["normal-order", "--rank", "1"], "(" * 3000),
+        (["act", "--rank", "1", "--module", "F 1/3",
+          "--vector", '[{"offset":[0],"coefficient":"1"}]', "--op"], "x" * 2000),
+    ],
+    ids=["normal-order", "act-op"],
+)
+def test_long_input_is_quoted_in_part(capsys, argv, text):
+    code, out, err = run(capsys, *argv, text)
+    assert code == 2 and not out
+    assert err.startswith("error:") and len(err) < 300
+    # each quoted token or text is cut and says how long it was
+    assert f"{text[:40]!r}... ({len(text)} characters)" in err
+
+
+def test_long_input_is_quoted_around_the_error(capsys):
+    text = "t1 " * 666 + "q"
+    code, out, err = run(
+        capsys, "act", "--rank", "1", "--module", "F 1/3", "--op", text,
+        "--vector", '[{"offset":[0],"coefficient":"1"}]',
+    )
+    assert code == 2 and not out
+    window = text[-40:]
+    assert err.strip() == (
+        f"error: unknown symbol 'q' (at position 1998 in ...{window!r} (1999 characters))"
+    )
+
+
 def test_deeply_nested_parse_is_a_parse_error():
     ctx = ScalarContext(("s",))
     with pytest.raises(ParseError, match="nested too deeply"):

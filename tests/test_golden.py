@@ -25,6 +25,7 @@ CASES = {
     "verify-twist": ["verify-twist", "--rank", "1", "--b", "2", "--depth", "3"],
     "verify-twist-rank2": ["verify-twist", "--rank", "2", "--b", "3,1", "--depth", "2"],
     "verify-twist-rank3": ["verify-twist", "--rank", "3", "--b", "1,1,1", "--depth", "1"],
+    "verify-twist-rank3-b211": ["verify-twist", "--rank", "3", "--b", "2,1,1", "--depth", "2"],
     "verma-mult": [
         "verma-mult", "--algebra", "g", "--rank", "1",
         "--lambda", "0", "--depth", "4", "--offset", "4",
@@ -65,3 +66,11 @@ def test_golden_commands_never_cancel(cancel_calls, capsys):
     for argv in CASES.values():
         run_case(argv, capsys)
     assert not cancel_calls
+
+
+def test_golden_commands_never_call_sympy_division(div_calls, capsys):
+    """Exact quotients of polynomials are oak's own, so sympy's polynomial
+    division is never called."""
+    for argv in CASES.values():
+        run_case(argv, capsys)
+    assert not div_calls

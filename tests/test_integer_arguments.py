@@ -19,7 +19,14 @@ from oak.characters import (
 )
 from oak.liealg import Weight, h_, x_
 from oak.scalars import ScalarContext
-from oak.weyl import FullLaurent, QuotientModule, ShaleWeil, support
+from oak.weyl import (
+    FullLaurent,
+    LaurentVector,
+    QuotientModule,
+    ShaleWeil,
+    apply_inverse_lowering,
+    support,
+)
 
 CTX = ScalarContext(("s",))
 
@@ -32,11 +39,17 @@ def weight(zdot=CTX.zero):
     return Weight(CTX, [CTX.zero], zdot)
 
 
+F_HALF = FullLaurent(CTX, (CTX.rational(1, 2),))
+T0 = LaurentVector.monomial(F_HALF, (0,))
+
+
 SITES = {
     "quotiented index": lambda v: QuotientModule(CTX, (0,), [v]),
     "support box": lambda v: support(FullLaurent(CTX, (CTX.rational(1, 2),)), ((-v,), (v,))),
     "character window": lambda v: compare_characters(table(), table(), ((-v, v),)),
     "probe depth": lambda v: classify_flags(table(), v),
+    "lowering index": lambda v: apply_inverse_lowering(T0, v, F_HALF),
+    "inverse power": lambda v: apply_inverse_lowering(T0, 1, F_HALF, v),
     "root coordinate": lambda v: x_((v,)),
     "Cartan index": lambda v: h_(v),
     "partition weight": lambda v: kostant_partition((v,), ((1,),)),

@@ -239,11 +239,16 @@ def test_verma_vector_rejects_non_lowering_monomials():
         VermaVector(CTX, 1, lam, {mono: CTX.one})
 
 
+def term_weight(v, mono):
+    """Weight of one term: lambda plus the (negative) roots of its factors."""
+    return v.weight.shift(engine(v.n, "g").mono_weight(mono))
+
+
 def test_verma_term_weight():
     n = 2
     v = highest(n, [1, 2])
     u = gen(n, x_((-1, 0)))
     moved = act_on_verma(u, v)
     (mono,) = moved.terms
-    w = moved.term_weight(mono)
+    w = term_weight(moved, mono)
     assert w.values == (CTX.rational(0), CTX.rational(2))
