@@ -41,6 +41,22 @@ def add_scaled(out, pairs):
             out[key] = v if cur is None else cur + v
 
 
+def add_multiples(out, c, pairs):
+    """Add c * k for each (key, k) in ``pairs`` into the dict ``out`` of
+    terms, in place, for a scalar c and nonzero ints or Fractions k; a k of
+    1 or -1 costs no product."""
+    get = out.get
+    for key, k in pairs:
+        cur = get(key)
+        if k == 1:
+            out[key] = c if cur is None else cur + c
+        elif k == -1:
+            out[key] = -c if cur is None else cur - c
+        else:
+            v = c * k
+            out[key] = v if cur is None else cur + v
+
+
 class Combination:
     """Sparse combination of keys; ``terms`` never holds a zero coefficient."""
 

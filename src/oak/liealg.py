@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .combination import Combination, checked_int
+from .combination import Combination, add_multiples, checked_int
 
 
 class BasisElement(NamedTuple):
@@ -343,10 +343,9 @@ def bracket(x, y, n=None):
     out = {}
     for a, ca in x.terms.items():
         for b, cb in y.terms.items():
-            cab = ca * cb
-            for elem, frac in table.get((a, b), ()):
-                cur = out.get(elem)
-                out[elem] = cab * frac if cur is None else cur + cab * frac
+            res = table.get((a, b))
+            if res:
+                add_multiples(out, ca * cb, res)
     return x._like(out)
 
 

@@ -10,7 +10,11 @@ The oscillator realization sends
 and the tensor realization sends the sp_2n part to X ⊗ 1 + 1 ⊗ (image above)
 and the Heisenberg part to 1 ⊗ (image above).  Each image above is one
 normal monomial, written in closed form, and every map out of g_n extends
-linearly through ``add_scaled``.  Both are verified pair by pair.
+linearly through ``add_scaled``.  Both are verified pair by pair, each
+commutator of images by one call of a commutator kernel, which cancels the
+two orders of every pair of terms in ints or Fractions before any scalar
+work.  ``weyl_accumulate`` and ``tensor_accumulate`` stay the product
+kernels and the commutator kernels' reference.
 
 Twists are handled through their binomial conjugation series
 theta_b(u) = sum_j C(b,j) (ad X_{-2e_i})^j(u) X_{-2e_i}^(-j), which truncates
@@ -23,9 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial as _math_factorial
 
-from .combination import Combination, add_scaled, checked_int
+from .combination import Combination, add_multiples, add_scaled, checked_int
 from .liealg import (
     LieElement,
     basis,
@@ -42,7 +47,8 @@ from .weyl import (
     WeylElement,
     apply,
     apply_inverse_lowering,
-    weyl_accumulate,
+    weyl_commutator_accumulate,
+    weyl_mono_commutator,
     weyl_mono_product,
 )
 
@@ -167,6 +173,62 @@ def tensor_accumulate(out, p, q, sign):
                     out[key] = add if cur is None else cur + add
 
 
+def tensor_commutator_accumulate(out, p, q, sign):
+    """Add ``sign`` (1 or -1) times [p, q] = pq - qp into the dict ``out``
+    of tensor keys, in place; entries may cancel to zero scalars.
+
+    A pair of terms costs one coefficient product, and none when the two
+    keys commute: their commutator is cancelled in Fractions first.  The
+    sign is taken by swapping p and q.
+    """
+    if sign < 0:
+        p, q = q, p
+    n = p.n
+    for k1, c1 in p.terms.items():
+        for k2, c2 in q.terms.items():
+            comm = _key_commutator(n, k1, k2)
+            if comm:
+                add_multiples(out, c1 * c2, comm)
+
+
+@lru_cache(maxsize=None)
+def _key_commutator(n, key1, key2):
+    """[m1 ⊗ w1, m2 ⊗ w2] as ((key, int or Fraction), ...), nonzero only.
+
+    With a unit Weyl factor it is [m1, m2] ⊗ w, with a unit sp factor
+    m ⊗ [w1, w2], and with a unit on either side it vanishes; only a pair
+    that is nontrivial on both sides expands both products.  Cached; the
+    data is context-free.
+    """
+    (m1, w1), (m2, w2) = key1, key2
+    eng = engine(n, "sp")
+    word1, word2 = eng.word_of_monomial(m1), eng.word_of_monomial(m2)
+    zero = (0,) * n
+    unit = (zero, zero)
+    out = {}
+    if w1 == unit or w2 == unit:
+        if not m1 or not m2:
+            return ()
+        w = w2 if w1 == unit else w1
+        for mono, c in eng.normal_word(word1 + word2).items():
+            out[mono, w] = c
+        for mono, c in eng.normal_word(word2 + word1).items():
+            out[mono, w] = out.get((mono, w), 0) - c
+    elif not m1 or not m2:
+        return tuple(((m1 or m2, wkey), c) for wkey, c in weyl_mono_commutator(w1, w2))
+    else:
+        for word, wprod, sign in (
+            (word1 + word2, weyl_mono_product(w1, w2), 1),
+            (word2 + word1, weyl_mono_product(w2, w1), -1),
+        ):
+            for mono, cf in eng.normal_word(word).items():
+                for wkey, cw in wprod:
+                    out[mono, wkey] = out.get((mono, wkey), 0) + sign * cf * cw
+    return tuple(
+        (key, c.numerator if c.denominator == 1 else c) for key, c in out.items() if c
+    )
+
+
 def phi_basis(ctx, n, b):
     """Tensor-algebra image of one basis element, memoized on ctx.
 
@@ -275,20 +337,21 @@ class HomReport:
 def verify_lie_hom(map_kind, n, ctx=None):
     """Check image([x,y]) = [image(x), image(y)] over all unordered basis pairs.
 
-    Each pair's residual image([x,y]) - image(x)image(y) + image(y)image(x)
-    is summed into one dict: image([x,y]) by ``add_scaled`` from the basis
-    images, the products by the target algebra's kernel (``weyl_accumulate``
-    for f, ``tensor_accumulate`` for phi).  A residual element is built, and
-    printed, only when a coefficient is nonzero.
+    Each pair's residual image([x,y]) - [image(x), image(y)] is summed into
+    one dict: image([x,y]) by ``add_scaled`` from the basis images, the
+    commutator by one call of the target algebra's commutator kernel
+    (``weyl_commutator_accumulate`` for f, ``tensor_commutator_accumulate``
+    for phi).  A residual element is built, and printed, only when a
+    coefficient is nonzero.
     """
     if map_kind not in ("f", "phi"):
         raise ValueError("map must be 'f' or 'phi'")
     if ctx is None:
         ctx = ScalarContext(("s",))
     if map_kind == "f":
-        image_of, accumulate = f_basis, weyl_accumulate
+        image_of, commutator = f_basis, weyl_commutator_accumulate
     else:
-        image_of, accumulate = phi_basis, tensor_accumulate
+        image_of, commutator = phi_basis, tensor_commutator_accumulate
     elems = basis(n)
     gens = {b: LieElement.from_basis(ctx, n, b) for b in elems}
     images = {b: image_of(ctx, n, b) for b in elems}
@@ -299,8 +362,7 @@ def verify_lie_hom(map_kind, n, ctx=None):
             resid = {}
             bra = bracket(gens[a], gens[b])
             add_scaled(resid, ((images[g], c) for g, c in bra.terms.items()))
-            accumulate(resid, images[a], images[b], -1)
-            accumulate(resid, images[b], images[a], 1)
+            commutator(resid, images[a], images[b], -1)
             if any(resid.values()):
                 report.violations.append((str(a), str(b), str(images[a]._like(resid))))
     return report
@@ -455,13 +517,18 @@ def conjugation_twist_action(g, spec, v, module):
 
 def _conjugation_powers(spec, ctx):
     """(index, b) for each twisted index, b as an int; the oracle is only
-    defined for nonnegative integer parameters."""
+    defined for nonnegative integer parameters.  Memoized on ctx, so every
+    probe of one spec shares one derivation."""
+    key = ("powers", tuple(spec.indices), tuple(spec.b))
+    if key in ctx.memo:
+        return ctx.memo[key]
     powers = []
     for i, b in zip(spec.indices, spec.b):
         b = ctx.coerce(b)
         if not b.is_integer() or b.as_fraction() < 0:
             raise ValueError("conjugation oracle needs nonnegative integer b")
         powers.append((i, int(b.as_fraction())))
+    ctx.memo[key] = powers = tuple(powers)
     return powers
 
 

@@ -18,7 +18,10 @@ denominators differ, and a product with a single-term factor is one pass
 over the other factor.  A division of polynomials that comes out even stays
 a polynomial: oak divides the int dicts itself, by leading terms, and gives
 up at the first leading term that does not divide.  Only a fraction with a
-non-constant denominator goes through sympy, to its ``cancel``.
+non-constant denominator goes through sympy, to its ``cancel``.  Each
+context keeps one scalar per constant and per single-term value it meets,
+and every result of those kinds is that scalar, so long-lived results that
+repeat a few values share them.
 """
 
 from __future__ import annotations
@@ -154,17 +157,20 @@ class ScalarContext:
         mono = self._ring.monomial_mul
         self._mono = lambda a, b: a if b == origin else b if a == origin else mono(a, b)
         self._index = {name: k for k, name in enumerate(symbols)}
-        # rational constants by value (an int and an equal Fraction share an
-        # entry): coercion of ints and Fractions is hot
+        # the canonical scalar of each constant this context meets, keyed by
+        # its reduced (numerator, denominator) pair, and of each single term
+        # c*x^m/den, keyed (m, c, den): coercion of ints and Fractions looks
+        # a constant up, and every result over an int denominator that is a
+        # constant or a single term is replaced by its entry, so equal
+        # values of those kinds share one object (see ``_shared``)
         self._constants = {}
-        self.zero = Scalar(self, {}, 1)
+        self.zero = self.rational(0)
         self.one = self.rational(1)
-        self._gens = {
-            name: Scalar(self, dict(g), 1) for name, g in zip(symbols, self._ring.gens)
-        }
-        # images of basis elements and monomials under the realizations
-        # (oak.morphisms) and the offsets of Laurent-module characters
-        # (oak.characters), which live and die with this context
+        self._gens = {name: self._shared(dict(g), 1) for name, g in zip(symbols, self._ring.gens)}
+        # images of basis elements and monomials under the realizations and
+        # the conjugation oracle's integer powers (oak.morphisms), and the
+        # offsets of Laurent-module characters (oak.characters), which live
+        # and die with this context
         self.memo = {}
 
     def __repr__(self):
@@ -186,12 +192,15 @@ class ScalarContext:
         return self._gens["s"] ** 2
 
     def rational(self, p, q=1):
-        key = p if type(p) is int and type(q) is int and q == 1 else Fraction(p, q)
+        if type(p) is int and type(q) is int and q == 1:
+            key = (p, 1)
+        else:
+            fr = Fraction(p, q)
+            key = (fr.numerator, fr.denominator)
         value = self._constants.get(key)
         if value is None:
-            fr = Fraction(key)
-            num = {self._origin: fr.numerator} if fr else {}
-            value = self._constants[key] = Scalar(self, num, fr.denominator)
+            num = {self._origin: key[0]} if key[0] else {}
+            value = self._constants[key] = Scalar(self, num, key[1])
         return value
 
     def coerce(self, value):
@@ -214,12 +223,31 @@ class ScalarContext:
             if g != 1:
                 num = {m: c // g for m, c in num.items()}
                 den //= g
-        return Scalar(self, num, den)
+        return self._shared(num, den)
+
+    def _shared(self, num, den):
+        """The scalar of a reduced pair over an int.  A constant, zero
+        included, or a single term is the canonical entry of
+        ``_constants``, the table ``rational`` fills; one dict lookup
+        decides, and a miss adds the entry."""
+        if len(num) > 1:
+            return Scalar(self, num, den)
+        if num:
+            ((m, c),) = num.items()
+            key = (c, den) if m == self._origin else (m, c, den)
+        else:
+            key = (0, 1)
+        value = self._constants.get(key)
+        if value is None:
+            value = self._constants[key] = Scalar(self, num, den)
+        return value
 
     def _fraction(self, num, den):
         """The scalar num/den of two polynomials, reduced by sympy's cancel."""
         p, q = self._ring.from_dict(num).cancel(self._ring.from_dict(den))
-        return Scalar(self, dict(p), int(q.LC) if q.is_ground else dict(q))
+        if q.is_ground:
+            return self._shared(dict(p), int(q.LC))
+        return Scalar(self, dict(p), dict(q))
 
     def parse(self, text):
         """Parse ``(s^2-1)/2`` style syntax into a scalar."""
@@ -242,6 +270,13 @@ class Scalar:
     the reduced denominator is not a constant, such a dict coprime to
     ``num`` with a positive leading coefficient.  Only ``ScalarContext`` and
     this class build scalars.
+
+    A scalar over an int denominator whose numerator is a constant, zero
+    included, or a single term is its context's canonical object for that
+    value: every sum, difference, product, quotient, power and negation
+    that lands there returns the entry ``ctx.rational`` also returns, so
+    ``x - x is ctx.zero`` and a product by ``ctx.one`` is its other factor.
+    Equality, hashing and printing still go by value.
     """
 
     __slots__ = ("ctx", "num", "den")
@@ -257,7 +292,7 @@ class Scalar:
                 raise ValueError("scalars from different contexts")
             return other
         if isinstance(other, (int, Fraction)):
-            cached = self.ctx._constants.get(other)
+            cached = self.ctx._constants.get((other.numerator, other.denominator))
             return self.ctx.rational(other) if cached is None else cached
         return None
 
@@ -294,6 +329,11 @@ class Scalar:
         if other is None:
             return NotImplemented
         ctx, d1, d2 = self.ctx, self.den, other.den
+        # a computed one is the canonical one
+        if other is ctx.one:
+            return self
+        if self is ctx.one:
+            return other
         num = _mul(self.num, other.num, ctx._mono)
         if type(d1) is int and type(d2) is int:
             return ctx._poly(num, d1 * d2)
@@ -342,10 +382,15 @@ class Scalar:
         for _ in range(k - 1):
             num = _mul(num, self.num, mono)
             den = den * self.den if type(den) is int else _mul(den, self.den, mono)
+        if type(den) is int:
+            return self.ctx._shared(num, den)
         return Scalar(self.ctx, num, den)
 
     def __neg__(self):
-        return Scalar(self.ctx, {m: -c for m, c in self.num.items()}, self.den)
+        num = {m: -c for m, c in self.num.items()}
+        if type(self.den) is int:
+            return self.ctx._shared(num, self.den)
+        return Scalar(self.ctx, num, self.den)
 
     def __bool__(self):
         return bool(self.num)

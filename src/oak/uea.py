@@ -23,7 +23,6 @@ from .liealg import (
     is_sp,
     structure_constants,
     validate_element,
-    weight_of,
 )
 
 
@@ -146,14 +145,6 @@ class PBWEngine:
             else:
                 pos.append((idx, e))
         return tuple(neg), tuple(car), tuple(pos)
-
-    def mono_weight(self, mono):
-        total = [0] * self.n
-        for idx, e in mono:
-            w = weight_of(self.elements[idx], self.n)
-            for k in range(self.n):
-                total[k] += e * w[k]
-        return tuple(total)
 
 
 @lru_cache(maxsize=None)

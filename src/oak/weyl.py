@@ -20,7 +20,7 @@ from functools import lru_cache
 from itertools import product as _cartesian
 from math import comb, factorial
 
-from .combination import Combination, checked_int
+from .combination import Combination, add_multiples, checked_int
 
 
 class WeylElement(Combination):
@@ -138,6 +138,34 @@ def weyl_accumulate(out, p, q, sign):
                 out[key] = add if cur is None else cur + add
 
 
+@lru_cache(maxsize=None)
+def weyl_mono_commutator(key1, key2):
+    """[m1, m2] of two normal monomials as ((key, int), ...), nonzero
+    coefficients only: the two products with their common terms cancelled.
+    Cached, like the products."""
+    out = dict(weyl_mono_product(key1, key2))
+    for key, coef in weyl_mono_product(key2, key1):
+        out[key] = out.get(key, 0) - coef
+    return tuple((key, coef) for key, coef in out.items() if coef)
+
+
+def weyl_commutator_accumulate(out, p, q, sign):
+    """Add ``sign`` (1 or -1) times [p, q] = pq - qp into the dict ``out``
+    of normal monomials, in place; entries may cancel to zero scalars.
+
+    A pair of terms costs one coefficient product, and none when the two
+    monomials commute: their commutator is cancelled in ints first.  The
+    sign is taken by swapping p and q.
+    """
+    if sign < 0:
+        p, q = q, p
+    for kp, cp in p.terms.items():
+        for kq, cq in q.terms.items():
+            comm = weyl_mono_commutator(kp, kq)
+            if comm:
+                add_multiples(out, cp * cq, comm)
+
+
 def weyl_multiply(p, q):
     """Canonical normal form of the product pq."""
     p._check(q)
@@ -147,10 +175,10 @@ def weyl_multiply(p, q):
 
 
 def weyl_commutator(p, q):
+    """Canonical normal form of the commutator pq - qp."""
     p._check(q)
     out = {}
-    weyl_accumulate(out, p, q, 1)
-    weyl_accumulate(out, q, p, -1)
+    weyl_commutator_accumulate(out, p, q, 1)
     return p._like(out)
 
 

@@ -5,7 +5,9 @@ into one dict per pair.  Here the basis images are broken on purpose (a
 term dropped, a coefficient moved by 1/3), and the violations it reports
 must equal, byte for byte, those rebuilt from the public functions:
 ``f_map(lie) - weyl_commutator(A, B)`` for f and
-``phi_lie(lie) - (A*B - B*A)`` for phi.
+``phi_lie(lie) - (A*B - B*A)`` for phi.  One broken phi image carries a
+mixed term m⊗w, whose sp and Weyl factors are both non-units, so the
+tensor commutator kernel expands both products there.
 """
 
 import pytest
@@ -71,6 +73,38 @@ def test_violations_match_the_public_maps(kind, n, which, how, monkeypatch):
     assert want, "the broken image must break the homomorphism"
     assert report.violations == want
     assert report.pairs_checked == len(basis(n)) * (len(basis(n)) + 1) // 2
+
+
+def with_mixed_term(original, target):
+    """phi with one more term X⊗w in the image of ``target``: X its sp
+    factor, w the Weyl factor of its first term on the Weyl side."""
+    def image(ctx, n, b):
+        out = original(ctx, n, b)
+        if b != target:
+            return out
+        zero = (0,) * n
+        mono = next(m for m, _ in out.terms if m)
+        wkey = next(w for m, w in sorted(out.terms) if not m and w != (zero, zero))
+        terms = dict(out.terms)
+        terms[mono, wkey] = ctx.rational(1, 3)
+        return out._like(terms)
+
+    return image
+
+
+@pytest.mark.parametrize("which", [0, 2])
+@pytest.mark.parametrize("n", [1, 2])
+def test_mixed_tensor_term_violations_match_the_public_maps(n, which, monkeypatch):
+    target = targets(n)[which]
+    monkeypatch.setattr(morphisms, "phi_basis", with_mixed_term(morphisms.phi_basis, target))
+    ctx = ScalarContext(("s",))
+    image = morphisms.phi_basis(ctx, n, target)
+    zero = (0,) * n
+    assert any(m and w != (zero, zero) for m, w in image.terms)
+    report = morphisms.verify_lie_hom("phi", n, ctx)
+    want = rebuilt("phi", n, ScalarContext(("s",)))
+    assert want, "the mixed term must break the homomorphism"
+    assert report.violations == want
 
 
 @pytest.mark.parametrize("kind", ["f", "phi"])

@@ -20,7 +20,7 @@ from oak.morphisms import (
     conjugation_twist_action,
     verify_theta_conjugation,
 )
-from oak.scalars import ScalarContext
+from oak.scalars import Scalar, ScalarContext
 from oak.weyl import FullLaurent, LaurentVector
 
 
@@ -150,3 +150,27 @@ def test_localized_operator_refuses_bad_index_or_power(i, j):
 def test_localized_operator_keeps_valid_terms():
     op = LocalizedOperator(CTX, 2, [(1, LIE, 2, 0), (0, LIE, 1, 3), (Fraction(1, 2), None, 1, 2)])
     assert op.terms == [(CTX.one, LIE, 2, 0), (CTX.rational(1, 2), None, 1, 2)]
+
+
+def test_oracle_derives_its_powers_once_per_spec(monkeypatch):
+    """The oracle's integer powers are derived once per spec and context,
+    however many probes it acts on; the derivation reads each parameter's
+    value twice (its sign and its int)."""
+    calls = []
+    original = Scalar.as_fraction
+
+    def counting(self):
+        calls.append(None)
+        return original(self)
+
+    monkeypatch.setattr(Scalar, "as_fraction", counting)
+    ctx = ScalarContext(("s", "a1", "a2"))
+    base = (ctx.symbol("a1"), ctx.symbol("a2"))
+    spec = TwistSpec((1, 2), (ctx.rational(2), ctx.rational(1)))
+    report = verify_theta_conjugation(spec, base, 1, ctx, 2)
+    assert report.ok and report.vectors_checked == 3 * 2 * 9
+    assert len(calls) == 2 * len(spec.indices)
+    module = FullLaurent(ctx, base)
+    for off in ((0, 0), (1, -1), (-1, 2)):
+        conjugation_twist_action(x_((1, 0)), spec, LaurentVector.monomial(module, off), module)
+    assert len(calls) == 2 * len(spec.indices)
