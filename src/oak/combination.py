@@ -9,7 +9,11 @@ own products and formatting.
 
 ``add_scaled`` is the one linear-extension step: it sums scaled elements
 into a plain dict of terms, so a map out of a basis builds one element at
-the end instead of two per term.
+the end instead of two per term.  ``accumulate`` is the one bilinear step:
+every product and commutator of two combinations sums c1*c2 times a table
+entry of the two keys into such a dict, the table holding int or Fraction
+multiples of keys.  ``commutator_terms`` turns a product table into a
+commutator table.
 
 Some subclasses restate ``__add__``, ``__sub__``, ``__neg__`` or ``scale`` as
 one-line calls to this core.  That gives each class its own function object,
@@ -55,6 +59,32 @@ def add_multiples(out, c, pairs):
         else:
             v = c * k
             out[key] = v if cur is None else cur + v
+
+
+def accumulate(out, p, q, table):
+    """Add the sum of c1 * c2 * table(k1, k2) over the terms c1 k1 of p and
+    c2 k2 of q into the dict ``out`` of terms, in place: pq for a product
+    table, [p, q] for a commutator table.  ``table(k1, k2)`` is ((key, k),
+    ...) for nonzero ints or Fractions k, or empty; entries may cancel to
+    zero scalars.  A pair of terms costs one coefficient product, and none
+    when its table entry is empty."""
+    for k1, c1 in p.terms.items():
+        for k2, c2 in q.terms.items():
+            terms = table(k1, k2)
+            if terms:
+                add_multiples(out, c1 * c2, terms)
+
+
+def commutator_terms(table, k1, k2):
+    """table(k1, k2) - table(k2, k1) for a product table as above, with the
+    common keys cancelled in ints or Fractions: ((key, k), ...) for the
+    nonzero k only, integral ones as ints."""
+    out = dict(table(k1, k2))
+    for key, k in table(k2, k1):
+        out[key] = out.get(key, 0) - k
+    return tuple(
+        (key, k.numerator if k.denominator == 1 else k) for key, k in out.items() if k
+    )
 
 
 class Combination:

@@ -11,10 +11,10 @@ and the tensor realization sends the sp_2n part to X ⊗ 1 + 1 ⊗ (image above)
 and the Heisenberg part to 1 ⊗ (image above).  Each image above is one
 normal monomial, written in closed form, and every map out of g_n extends
 linearly through ``add_scaled``.  Both are verified pair by pair, each
-commutator of images by one call of a commutator kernel, which cancels the
-two orders of every pair of terms in ints or Fractions before any scalar
-work.  ``weyl_accumulate`` and ``tensor_accumulate`` stay the product
-kernels and the commutator kernels' reference.
+commutator of images by one ``accumulate`` over a commutator table, which
+cancels the two orders of every pair of keys in ints or Fractions before
+any scalar work.  Products of tensors go through the same ``accumulate``
+over the tensor product table.
 
 Twists are handled through their binomial conjugation series
 theta_b(u) = sum_j C(b,j) (ad X_{-2e_i})^j(u) X_{-2e_i}^(-j), which truncates
@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial as _math_factorial
 
-from .combination import Combination, add_multiples, add_scaled, checked_int
+from .combination import Combination, accumulate, add_scaled, checked_int, commutator_terms
 from .liealg import (
     LieElement,
     basis,
@@ -47,7 +47,6 @@ from .weyl import (
     WeylElement,
     apply,
     apply_inverse_lowering,
-    weyl_commutator_accumulate,
     weyl_mono_commutator,
     weyl_mono_product,
 )
@@ -133,7 +132,7 @@ class TensorElement(Combination):
     def __mul__(self, other):
         self._check(other)
         out = {}
-        tensor_accumulate(out, self, other, 1)
+        accumulate(out, self, other, _tensor_products(engine(self.n, "sp")))
         return self._like(out)
 
     def __str__(self):
@@ -149,84 +148,45 @@ class TensorElement(Combination):
         return " + ".join(pieces)
 
 
-def tensor_accumulate(out, p, q, sign):
-    """Add ``sign`` (1 or -1) times the product pq into the dict ``out`` of
-    tensor keys, in place; entries may cancel to zero scalars."""
-    eng = engine(p.n, "sp")
-    word_of = eng.word_of_monomial
-    qterms = [
-        (word_of(m2), w2, c2 if sign > 0 else -c2) for (m2, w2), c2 in q.terms.items()
-    ]
-    get = out.get
-    for (m1, w1), c1 in p.terms.items():
-        word1 = word_of(m1)
-        for word2, w2, c2 in qterms:
-            c12 = c1 * c2
-            sp_prod = eng.normal_word(word1 + word2)
-            wprod = weyl_mono_product(w1, w2)
-            for mono, cf in sp_prod.items():
-                base = c12 if cf == 1 else c12 * cf
-                for wkey, cw in wprod:
-                    key = (mono, wkey)
-                    add = base if cw == 1 else base * cw
-                    cur = get(key)
-                    out[key] = add if cur is None else cur + add
+def _tensor_products(eng):
+    """The product table of tensor keys over the sp engine ``eng``:
+    (m1 ⊗ w1)(m2 ⊗ w2) = m1 m2 ⊗ w1 w2, both factors in normal form."""
 
+    def table(key1, key2):
+        (m1, w1), (m2, w2) = key1, key2
+        wprod = weyl_mono_product(w1, w2)
+        return [
+            ((mono, wkey), cf if cw == 1 else cf * cw)
+            for mono, cf in eng.monomial_product(m1, m2)
+            for wkey, cw in wprod
+        ]
 
-def tensor_commutator_accumulate(out, p, q, sign):
-    """Add ``sign`` (1 or -1) times [p, q] = pq - qp into the dict ``out``
-    of tensor keys, in place; entries may cancel to zero scalars.
-
-    A pair of terms costs one coefficient product, and none when the two
-    keys commute: their commutator is cancelled in Fractions first.  The
-    sign is taken by swapping p and q.
-    """
-    if sign < 0:
-        p, q = q, p
-    n = p.n
-    for k1, c1 in p.terms.items():
-        for k2, c2 in q.terms.items():
-            comm = _key_commutator(n, k1, k2)
-            if comm:
-                add_multiples(out, c1 * c2, comm)
+    return table
 
 
 @lru_cache(maxsize=None)
-def _key_commutator(n, key1, key2):
+def _key_commutator(key1, key2):
     """[m1 ⊗ w1, m2 ⊗ w2] as ((key, int or Fraction), ...), nonzero only.
 
     With a unit Weyl factor it is [m1, m2] ⊗ w, with a unit sp factor
     m ⊗ [w1, w2], and with a unit on either side it vanishes; only a pair
-    that is nontrivial on both sides expands both products.  Cached; the
-    data is context-free.
+    that is nontrivial on both sides expands both tensor products.  Cached;
+    the data is context-free.
     """
     (m1, w1), (m2, w2) = key1, key2
+    n = len(w1[0])
     eng = engine(n, "sp")
-    word1, word2 = eng.word_of_monomial(m1), eng.word_of_monomial(m2)
-    zero = (0,) * n
-    unit = (zero, zero)
-    out = {}
+    unit = ((0,) * n,) * 2
     if w1 == unit or w2 == unit:
         if not m1 or not m2:
             return ()
         w = w2 if w1 == unit else w1
-        for mono, c in eng.normal_word(word1 + word2).items():
-            out[mono, w] = c
-        for mono, c in eng.normal_word(word2 + word1).items():
-            out[mono, w] = out.get((mono, w), 0) - c
-    elif not m1 or not m2:
+        return commutator_terms(
+            lambda a, b: (((mono, w), c) for mono, c in eng.monomial_product(a, b)), m1, m2
+        )
+    if not m1 or not m2:
         return tuple(((m1 or m2, wkey), c) for wkey, c in weyl_mono_commutator(w1, w2))
-    else:
-        for word, wprod, sign in (
-            (word1 + word2, weyl_mono_product(w1, w2), 1),
-            (word2 + word1, weyl_mono_product(w2, w1), -1),
-        ):
-            for mono, cf in eng.normal_word(word).items():
-                for wkey, cw in wprod:
-                    out[mono, wkey] = out.get((mono, wkey), 0) + sign * cf * cw
-    return tuple(
-        (key, c.numerator if c.denominator == 1 else c) for key, c in out.items() if c
-    )
+    return commutator_terms(_tensor_products(eng), key1, key2)
 
 
 def phi_basis(ctx, n, b):
@@ -338,9 +298,9 @@ def verify_lie_hom(map_kind, n, ctx=None):
     """Check image([x,y]) = [image(x), image(y)] over all unordered basis pairs.
 
     Each pair's residual image([x,y]) - [image(x), image(y)] is summed into
-    one dict: image([x,y]) by ``add_scaled`` from the basis images, the
-    commutator by one call of the target algebra's commutator kernel
-    (``weyl_commutator_accumulate`` for f, ``tensor_commutator_accumulate``
+    one dict: image([x,y]) by ``add_scaled`` from the basis images, and
+    [image(y), image(x)] by one ``accumulate`` over the target algebra's
+    commutator table (``weyl_mono_commutator`` for f, ``_key_commutator``
     for phi).  A residual element is built, and printed, only when a
     coefficient is nonzero.
     """
@@ -349,9 +309,9 @@ def verify_lie_hom(map_kind, n, ctx=None):
     if ctx is None:
         ctx = ScalarContext(("s",))
     if map_kind == "f":
-        image_of, commutator = f_basis, weyl_commutator_accumulate
+        image_of, commutator = f_basis, weyl_mono_commutator
     else:
-        image_of, commutator = phi_basis, tensor_commutator_accumulate
+        image_of, commutator = phi_basis, _key_commutator
     elems = basis(n)
     gens = {b: LieElement.from_basis(ctx, n, b) for b in elems}
     images = {b: image_of(ctx, n, b) for b in elems}
@@ -362,7 +322,7 @@ def verify_lie_hom(map_kind, n, ctx=None):
             resid = {}
             bra = bracket(gens[a], gens[b])
             add_scaled(resid, ((images[g], c) for g, c in bra.terms.items()))
-            commutator(resid, images[a], images[b], -1)
+            accumulate(resid, images[b], images[a], commutator)
             if any(resid.values()):
                 report.violations.append((str(a), str(b), str(images[a]._like(resid))))
     return report

@@ -406,6 +406,10 @@ class Scalar:
 
     def __hash__(self):
         den = self.den
+        if type(den) is int and self.num.keys() <= {self.ctx._origin}:
+            # a constant equals its int or Fraction, so it hashes as one
+            c = self.num.get(self.ctx._origin, 0)
+            return hash(c if den == 1 else Fraction(c, den))
         if type(den) is not int:
             den = frozenset(den.items())
         return hash((frozenset(self.num.items()), den))

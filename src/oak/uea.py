@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .combination import Combination
+from .combination import Combination, accumulate
 from .liealg import (
     BasisElement,
     basis,
@@ -87,6 +87,11 @@ class PBWEngine:
         for idx, e in mono:
             word.extend([idx] * e)
         return tuple(word)
+
+    def monomial_product(self, m1, m2):
+        """The product of two monomials as (monomial, Fraction) pairs: the
+        product table of this basis slice, read from ``normal_word``."""
+        return self.normal_word(self.word_of_monomial(m1) + self.word_of_monomial(m2)).items()
 
     def normal_word(self, word, strategy="rightmost", rng=None):
         """Normal form of a product word as {monomial: Fraction}.
@@ -212,16 +217,8 @@ def normal_order(ctx, word, n, strategy="rightmost", rng=None, part="g"):
 def multiply(u, v):
     """Associative product; agrees with normal_order on products of monomials."""
     u._check(v)
-    eng = engine(u.n, u.part)
     out = {}
-    for m1, c1 in u.terms.items():
-        w1 = eng.word_of_monomial(m1)
-        for m2, c2 in v.terms.items():
-            c12 = c1 * c2
-            raw = eng.normal_word(w1 + eng.word_of_monomial(m2))
-            for mono, c in raw.items():
-                cur = out.get(mono)
-                out[mono] = c12 * c if cur is None else cur + c12 * c
+    accumulate(out, u, v, engine(u.n, u.part).monomial_product)
     return u._like(out)
 
 

@@ -20,7 +20,7 @@ from functools import lru_cache
 from itertools import product as _cartesian
 from math import comb, factorial
 
-from .combination import Combination, add_multiples, checked_int
+from .combination import Combination, accumulate, checked_int, commutator_terms
 
 
 class WeylElement(Combination):
@@ -124,53 +124,19 @@ def weyl_mono_product(key1, key2):
     return tuple(out)
 
 
-def weyl_accumulate(out, p, q, sign):
-    """Add ``sign`` (1 or -1) times the product pq into the dict ``out``
-    of normal monomials, in place; entries may cancel to zero scalars."""
-    qterms = q.terms.items() if sign > 0 else [(k, -c) for k, c in q.terms.items()]
-    get = out.get
-    for kp, cp in p.terms.items():
-        for kq, cq in qterms:
-            base = cp * cq
-            for key, coef in weyl_mono_product(kp, kq):
-                add = base if coef == 1 else base * coef
-                cur = get(key)
-                out[key] = add if cur is None else cur + add
-
-
 @lru_cache(maxsize=None)
 def weyl_mono_commutator(key1, key2):
     """[m1, m2] of two normal monomials as ((key, int), ...), nonzero
     coefficients only: the two products with their common terms cancelled.
     Cached, like the products."""
-    out = dict(weyl_mono_product(key1, key2))
-    for key, coef in weyl_mono_product(key2, key1):
-        out[key] = out.get(key, 0) - coef
-    return tuple((key, coef) for key, coef in out.items() if coef)
-
-
-def weyl_commutator_accumulate(out, p, q, sign):
-    """Add ``sign`` (1 or -1) times [p, q] = pq - qp into the dict ``out``
-    of normal monomials, in place; entries may cancel to zero scalars.
-
-    A pair of terms costs one coefficient product, and none when the two
-    monomials commute: their commutator is cancelled in ints first.  The
-    sign is taken by swapping p and q.
-    """
-    if sign < 0:
-        p, q = q, p
-    for kp, cp in p.terms.items():
-        for kq, cq in q.terms.items():
-            comm = weyl_mono_commutator(kp, kq)
-            if comm:
-                add_multiples(out, cp * cq, comm)
+    return commutator_terms(weyl_mono_product, key1, key2)
 
 
 def weyl_multiply(p, q):
     """Canonical normal form of the product pq."""
     p._check(q)
     out = {}
-    weyl_accumulate(out, p, q, 1)
+    accumulate(out, p, q, weyl_mono_product)
     return p._like(out)
 
 
@@ -178,7 +144,7 @@ def weyl_commutator(p, q):
     """Canonical normal form of the commutator pq - qp."""
     p._check(q)
     out = {}
-    weyl_commutator_accumulate(out, p, q, 1)
+    accumulate(out, p, q, weyl_mono_commutator)
     return p._like(out)
 
 

@@ -3,7 +3,7 @@ import weakref
 
 import pytest
 
-from oak.morphisms import verify_lie_hom
+from oak.morphisms import TwistSpec, _conjugation_powers, verify_lie_hom
 from oak.scalars import ScalarContext
 
 
@@ -34,3 +34,10 @@ def test_laurent_tables_share_read_only_offsets_per_shape():
     other = ScalarContext(("s",))
     c = char_module(FullLaurent(other, (other.rational(1, 3), other.rational(1, 2))), 3)
     assert c.entries == a.entries and c.entries is not a.entries
+
+
+def test_equal_twist_specs_share_one_powers_entry():
+    ctx = ScalarContext(("s",))
+    for spec in (TwistSpec((1,), (2,)), TwistSpec((1,), (ctx.rational(2),))):
+        assert _conjugation_powers(spec, ctx) == ((1, 2),)
+    assert [key for key in ctx.memo if key[0] == "powers"] == [("powers", (1,), (2,))]

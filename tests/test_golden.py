@@ -24,6 +24,8 @@ CASES = {
     "verify-hom-phi-rank3": ["verify-hom", "--rank", "3", "--map", "phi"],
     "verify-hom-f-rank4": ["verify-hom", "--rank", "4", "--map", "f"],
     "verify-hom-phi-rank4": ["verify-hom", "--rank", "4", "--map", "phi"],
+    "verify-hom-f-rank5": ["verify-hom", "--rank", "5", "--map", "f"],
+    "verify-hom-phi-rank5": ["verify-hom", "--rank", "5", "--map", "phi"],
     "verify-twist": ["verify-twist", "--rank", "1", "--b", "2", "--depth", "3"],
     "verify-twist-rank2": ["verify-twist", "--rank", "2", "--b", "3,1", "--depth", "2"],
     "verify-twist-rank3": ["verify-twist", "--rank", "3", "--b", "1,1,1", "--depth", "1"],

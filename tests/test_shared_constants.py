@@ -5,11 +5,16 @@ constant, and every arithmetic result over an int denominator that lands on
 a constant, zero included, or on a single term c*x^m/d is that scalar
 itself.  Sharing changes no value, no printed form and no equality; it
 bounds the table a context holds by the distinct values it meets.
+
+A constant equals the int or Fraction of its value, so it hashes as that
+number: sets and dict keys, such as the ``TwistSpec`` parameters in a
+context's memo, do not tell the two apart.
 """
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from oak.morphisms import verify_lie_hom
 from oak.scalars import Scalar, ScalarContext
@@ -94,3 +99,41 @@ def test_constant_table_stops_growing_across_hom_checks():
     for _ in range(3):
         assert verify_lie_hom("phi", 3, ctx).ok
         assert len(ctx._constants) == size
+
+
+def test_a_constant_hashes_as_its_number():
+    assert len({CTX.rational(2), 2}) == 1
+    assert len({CTX.rational(1, 2), Fraction(1, 2)}) == 1
+    assert {0: "zero"}.get(CTX.zero) == "zero"
+
+
+numbers = st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=3)
+forms = st.sampled_from(["number", "scalar", "fresh", "symbolic", "through s"])
+
+
+def in_form(value, form):
+    """``value`` as a plain number or as a scalar built one of four ways."""
+    c = CTX.rational(value)
+    return {
+        "number": value,
+        "scalar": c,
+        "fresh": Scalar(CTX, dict(c.num), c.den),  # not the shared entry
+        "symbolic": CTX.s + c,
+        "through s": (CTX.s + c) - CTX.s,
+    }[form]
+
+
+@given(numbers, forms, numbers, forms)
+def test_equal_values_hash_alike(x, fx, y, fy):
+    a, b = in_form(x, fx), in_form(y, fy)
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+@given(numbers, forms, forms)
+def test_one_value_in_two_forms_hashes_alike(x, fx, fy):
+    a, b = in_form(x, fx), in_form(x, fy)
+    if "symbolic" in (fx, fy) and fx != fy:
+        assert a != b
+    else:
+        assert a == b and hash(a) == hash(b)
