@@ -3,8 +3,9 @@ oscillator algebra g_n = sp_2n ⋉ H_n.
 
 The distinguished basis consists of root vectors X_alpha (alpha in the root
 system Delta), the Cartan elements h_1..h_n, and the central element z.  All
-structure constants are generated once per rank from the defining matrix and
-vector realization:
+structure constants are generated once per rank, in one integer pass over
+the pairs whose bracket can be nonzero by weight, from the defining matrix
+and vector realization:
 
     h_i            = E[i,i] - E[n+i,n+i]
     X_{e_i+e_j}    = E[i,n+j] + E[j,n+i]          (so X_{2e_i} = 2 E[i,n+i])
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from typing import NamedTuple
 
 from .combination import Combination, add_multiples, checked_int
@@ -133,40 +135,21 @@ def weight_of(b, n):
 # ---------------------------------------------------------------------------
 
 def _sp_matrix(b, n):
-    """Sparse 2n x 2n matrix {(r, c): Fraction} of an sp_2n basis element."""
-    m = {}
-
-    def put(r, c, v):
-        m[(r, c)] = m.get((r, c), Fraction(0)) + v
-
+    """Sparse 2n x 2n integer matrix {(r, c): int} of an sp_2n basis element."""
     if b.kind == "h":
         i = b.tag[0] - 1
-        put(i, i, Fraction(1))
-        put(n + i, n + i, Fraction(-1))
-        return m
-    root = b.tag
-    support = [(i, c) for i, c in enumerate(root) if c]
-    if len(support) == 1 and abs(support[0][1]) == 2:
-        i, c = support[0]
-        if c > 0:
-            put(i, n + i, Fraction(2))
-        else:
-            put(n + i, i, Fraction(2))
-        return m
-    (i, ci), (j, cj) = support
-    if ci == 1 and cj == 1:
-        put(i, n + j, Fraction(1))
-        put(j, n + i, Fraction(1))
-    elif ci == -1 and cj == -1:
-        put(n + i, j, Fraction(1))
-        put(n + j, i, Fraction(1))
-    elif ci == 1 and cj == -1:
-        put(i, j, Fraction(1))
-        put(n + j, n + i, Fraction(-1))
-    else:  # ci == -1, cj == 1
-        put(j, i, Fraction(1))
-        put(n + i, n + j, Fraction(-1))
-    return m
+        return {(i, i): 1, (n + i, n + i): -1}
+    (i, ci), *rest = [(k, c) for k, c in enumerate(b.tag) if c]
+    if not rest:  # X_{±2e_i}
+        return {(i, n + i) if ci > 0 else (n + i, i): 2}
+    ((j, cj),) = rest
+    if ci == cj == 1:
+        return {(i, n + j): 1, (j, n + i): 1}
+    if ci == cj == -1:
+        return {(n + i, j): 1, (n + j, i): 1}
+    if ci == 1:
+        return {(i, j): 1, (n + j, n + i): -1}
+    return {(j, i): 1, (n + i, n + j): -1}
 
 
 def is_sp(b):
@@ -174,119 +157,97 @@ def is_sp(b):
     return b.kind == "h" or (b.kind == "x" and sum(abs(c) for c in b.tag) == 2)
 
 
-def _is_vec(b):
-    return b.kind == "x" and sum(abs(c) for c in b.tag) == 1
+def _expand_sp(m, mats, owner):
+    """Write an integer sp_2n matrix in the distinguished basis.
 
-
-def _vec(b, n):
-    """Sparse coordinate vector {r: Fraction} in C^2n for X_{±e_i}."""
-    i = next(k for k, c in enumerate(b.tag) if c)
-    return {i if b.tag[i] > 0 else n + i: Fraction(1)}
-
-
-def _expand_sp(m, n):
-    """Write an sp_2n matrix in the distinguished basis.
-
-    Reads coefficients directly off the block structure; verifies the
-    reconstruction so bad input never passes silently.
+    Every position of a 2n x 2n matrix belongs to the support of exactly one
+    basis element (``owner``: position -> (element, entry)), so each
+    coefficient is read off one nonzero entry; the reconstruction is
+    verified, so a matrix outside sp_2n never passes silently.
     """
     coeffs = {}
-    for i in range(n):
-        v = m.get((i, i), Fraction(0))
+    for rc, v in m.items():
         if v:
-            coeffs[h_(i + 1)] = v
-        for j in range(n):
-            if i != j:
-                v = m.get((i, j), Fraction(0))
-                if v:
-                    root = [0] * n
-                    root[i], root[j] = 1, -1
-                    coeffs[x_(root)] = v
-        for j in range(i, n):
-            v = m.get((i, n + j), Fraction(0))
-            if v:
-                root = [0] * n
-                root[i] += 1
-                root[j] += 1
-                coeffs[x_(root)] = v / 2 if i == j else v
-            v = m.get((n + i, j), Fraction(0))
-            if v:
-                root = [0] * n
-                root[i] -= 1
-                root[j] -= 1
-                coeffs[x_(root)] = v / 2 if i == j else v
-    check = {}
+            b, pivot = owner[rc]
+            if b not in coeffs:
+                coeffs[b] = v // pivot if v % pivot == 0 else Fraction(v, pivot)
+    rebuilt = {}
     for b, c in coeffs.items():
-        for rc, v in _sp_matrix(b, n).items():
-            check[rc] = check.get(rc, Fraction(0)) + c * v
-    if {k: v for k, v in check.items() if v} != {k: v for k, v in m.items() if v}:
+        for rc, v in mats[b].items():
+            rebuilt[rc] = rebuilt.get(rc, 0) + c * v
+    if rebuilt != {rc: v for rc, v in m.items() if v}:
         raise ValueError("matrix does not lie in sp_2n")
     return coeffs
 
 
-def _expand_vec(v, n):
-    coeffs = {}
-    for r, c in v.items():
-        if not c:
-            continue
-        root = [0] * n
-        if r < n:
-            root[r] = 1
-        else:
-            root[r - n] = -1
-        coeffs[x_(root)] = c
-    return coeffs
-
-
-def _bracket_pair(a, b, n):
-    """[a, b] for basis elements, as {BasisElement: Fraction}."""
-    if a.kind == "z" or b.kind == "z":
-        return {}
-    a_sp, b_sp = is_sp(a), is_sp(b)
-    if a_sp and b_sp:
-        ma, mb = _sp_matrix(a, n), _sp_matrix(b, n)
-        comm = {}
-        for (r, k), va in ma.items():
-            for (k2, c), vb in mb.items():
-                if k == k2:
-                    comm[(r, c)] = comm.get((r, c), Fraction(0)) + va * vb
-        for (r, k), vb in mb.items():
-            for (k2, c), va in ma.items():
-                if k == k2:
-                    comm[(r, c)] = comm.get((r, c), Fraction(0)) - vb * va
-        return _expand_sp({k: v for k, v in comm.items() if v}, n)
-    if a_sp and _is_vec(b):
-        ma, vb = _sp_matrix(a, n), _vec(b, n)
-        out = {}
-        for (r, c), va in ma.items():
-            if c in vb:
-                out[r] = out.get(r, Fraction(0)) + va * vb[c]
-        return _expand_vec(out, n)
-    if _is_vec(a) and b_sp:
-        return {k: -v for k, v in _bracket_pair(b, a, n).items()}
-    # Heisenberg part: [u, v] = omega(u, v) z with omega(e_i, e_{n+i}) = 1
-    va, vb = _vec(a, n), _vec(b, n)
-    omega = Fraction(0)
-    for r, ca in va.items():
-        for c, cb in vb.items():
-            if c == r + n and r < n:
-                omega += ca * cb
-            elif r == c + n and c < n:
-                omega -= ca * cb
-    return {Z: omega} if omega else {}
-
-
 @lru_cache(maxsize=None)
 def structure_constants(n):
-    """All basis brackets, as {(a, b): ((elem, Fraction), ...)}; cached per rank."""
-    table = {}
+    """All nonzero basis brackets, as {(a, b): ((elem, Fraction), ...)}, with
+    the pairs and the terms in basis order; cached per rank.
+
+    One pass over the unordered pairs whose bracket can be nonzero by
+    weight: z is central, the Cartan elements commute, [h_i, X_alpha] = 0
+    when alpha_i = 0, and [X_alpha, X_beta] has weight alpha + beta, which
+    must be a root or 0.  Each such bracket is computed once, in integers,
+    from the realization: the commutator of the two sp matrices, a matrix
+    times a vector, or the symplectic pairing of two vectors.  [b, a] is
+    stored as its negation.
+    """
     elems = basis(n)
-    for a in elems:
-        for b in elems:
-            res = _bracket_pair(a, b, n)
+    index = basis_index(n)
+    weights = set(root_system(n)[0])
+    weights.add((0,) * n)
+    mats = {b: _sp_matrix(b, n) for b in elems if is_sp(b)}
+    owner = {rc: (b, v) for b, m in mats.items() for rc, v in m.items()}
+    # the coordinate in C^2n of X_{e_i} = e_i and of X_{-e_i} = e_{n+i}
+    coords = {}
+    for b in elems:
+        if b.kind == "x" and b not in mats:
+            i = next(k for k, c in enumerate(b.tag) if c)
+            coords[b] = i if b.tag[i] > 0 else n + i
+    vectors = {r: b for b, r in coords.items()}
+
+    def realized(a, b):
+        """[a, b] as {BasisElement: int or Fraction}, possibly with no terms."""
+        if a in mats and b in mats:
+            comm = {}
+            for (r, k), va in mats[a].items():
+                for (k2, c), vb in mats[b].items():
+                    if k == k2:  # entry (r, c) of a b
+                        comm[r, c] = comm.get((r, c), 0) + va * vb
+                    if c == r:  # entry (k2, k) of b a
+                        comm[k2, k] = comm.get((k2, k), 0) - vb * va
+            return _expand_sp(comm, mats, owner)
+        if a in mats:
+            return {vectors[r]: v for (r, c), v in mats[a].items() if c == coords[b]}
+        if b in mats:
+            return {vectors[r]: -v for (r, c), v in mats[b].items() if c == coords[a]}
+        # [u, v] = omega(u, v) z with omega(e_i, e_{n+i}) = 1
+        r, c = coords[a], coords[b]
+        omega = (c == r + n) - (r == c + n)
+        return {Z: omega} if omega else {}
+
+    table = {}
+    for k, a in enumerate(elems):
+        if a.kind == "z":
+            continue
+        for b in elems[k + 1:]:
+            if b.kind == "z":
+                continue
+            if a.kind == "h" or b.kind == "h":
+                h, x = (a, b) if a.kind == "h" else (b, a)
+                if x.kind == "h" or not x.tag[h.tag[0] - 1]:
+                    continue
+            elif tuple(map(add, a.tag, b.tag)) not in weights:
+                continue
+            res = realized(a, b)
             if res:
-                table[(a, b)] = tuple(sorted(res.items(), key=lambda kv: basis_index(n)[kv[0]]))
-    return table
+                terms = tuple(sorted(
+                    ((e, Fraction(c)) for e, c in res.items()), key=lambda t: index[t[0]]
+                ))
+                table[a, b] = terms
+                table[b, a] = tuple((e, -c) for e, c in terms)
+    return dict(sorted(table.items(), key=lambda kv: (index[kv[0][0]], index[kv[0][1]])))
 
 
 def bracket_basis(a, b, n):

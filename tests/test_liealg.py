@@ -6,12 +6,15 @@ import pytest
 from oak.liealg import (
     LieElement,
     Z,
+    _expand_sp,
+    _sp_matrix,
     basis,
     bracket,
     bracket_basis,
     decomposition_parts,
     dim_g,
     h_,
+    is_sp,
     root_system,
     structure_constants,
     weight_of,
@@ -114,13 +117,17 @@ def test_jacobi_exhaustive(n):
         assert total.is_zero
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_matrix_oracle_agreement(n):
+    nonzero = set()
     for a in basis(n):
         for b in basis(n):
             expected = bracket_oracle(a, b, n)
             got = {e: c for e, c in bracket_basis(a, b, n)}
             assert got == expected
+            if expected:
+                nonzero.add((a, b))
+    assert set(structure_constants(n)) == nonzero
 
 
 def test_root_additivity():
@@ -163,10 +170,27 @@ def test_decomposition_partitions_basis():
 
 
 def test_structure_constants_are_rational():
-    table = structure_constants(2)
-    for res in table.values():
-        for _, c in res:
-            assert isinstance(c, Fraction) and c != 0
+    for n in (1, 2, 3, 4, 5):
+        index = {b: k for k, b in enumerate(basis(n))}
+        for res in structure_constants(n).values():
+            # no key for a zero bracket, and the terms in strict basis order
+            assert res
+            assert [index[e] for e, _ in res] == sorted({index[e] for e, _ in res})
+            for _, c in res:
+                assert isinstance(c, Fraction) and c != 0
+
+
+def test_expand_sp_rejects_a_matrix_outside_sp():
+    n = 2
+    mats = {b: _sp_matrix(b, n) for b in basis(n) if is_sp(b)}
+    owner = {rc: (b, v) for b, m in mats.items() for rc, v in m.items()}
+    # E[0, n] is half of X_{2e_1}; E[0, 0] alone is not in sp_4
+    assert _expand_sp({(0, n): 1}, mats, owner) == {x_((2, 0)): Fraction(1, 2)}
+    assert _expand_sp({(0, 0): 3, (n, n): -3}, mats, owner) == {h_(1): 3}
+    with pytest.raises(ValueError, match="does not lie in sp"):
+        _expand_sp({(0, 0): 1}, mats, owner)
+    with pytest.raises(ValueError, match="does not lie in sp"):
+        _expand_sp({(0, 1): 1, (n + 1, n): 2}, mats, owner)
 
 
 def test_bilinearity():
