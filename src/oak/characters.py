@@ -193,18 +193,9 @@ def compare_characters(a, b, window=None):
             if lo < il or hi > ih:
                 raise ValueError("window exceeds the exact boxes")
     mismatches = []
-    seen = set()
-    for off, m in a.entries.items():
+    for off in a.entries.keys() | b.entries.keys():
         if all(lo <= c <= hi for c, (lo, hi) in zip(off, window)):
-            seen.add(off)
-            mb = b.entries.get(off, 0)
-            if m != mb:
-                mismatches.append((off, m, mb))
-    for off, mb in b.entries.items():
-        if off in seen:
-            continue
-        if all(lo <= c <= hi for c, (lo, hi) in zip(off, window)):
-            ma = a.entries.get(off, 0)
+            ma, mb = a.entries.get(off, 0), b.entries.get(off, 0)
             if ma != mb:
                 mismatches.append((off, ma, mb))
     mismatches.sort()

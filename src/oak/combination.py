@@ -10,10 +10,10 @@ own products and formatting.
 ``add_scaled`` is the one linear-extension step: it sums scaled elements
 into a plain dict of terms, so a map out of a basis builds one element at
 the end instead of two per term.  ``accumulate`` is the one bilinear step:
-every product and commutator of two combinations sums c1*c2 times a table
-entry of the two keys into such a dict, the table holding int or Fraction
-multiples of keys.  ``commutator_terms`` turns a product table into a
-commutator table.
+the Lie bracket and every product and commutator of two combinations sum
+c1*c2 times a table entry of the two keys, int multiples of keys, into such
+a dict; it is the one place where table entries meet scalars.
+``commutator_terms`` turns a product table into a commutator table.
 
 Some subclasses restate ``__add__``, ``__sub__``, ``__neg__`` or ``scale`` as
 one-line calls to this core.  That gives each class its own function object,
@@ -45,46 +45,38 @@ def add_scaled(out, pairs):
             out[key] = v if cur is None else cur + v
 
 
-def add_multiples(out, c, pairs):
-    """Add c * k for each (key, k) in ``pairs`` into the dict ``out`` of
-    terms, in place, for a scalar c and nonzero ints or Fractions k; a k of
-    1 or -1 costs no product."""
-    get = out.get
-    for key, k in pairs:
-        cur = get(key)
-        if k == 1:
-            out[key] = c if cur is None else cur + c
-        elif k == -1:
-            out[key] = -c if cur is None else cur - c
-        else:
-            v = c * k
-            out[key] = v if cur is None else cur + v
-
-
 def accumulate(out, p, q, table):
     """Add the sum of c1 * c2 * table(k1, k2) over the terms c1 k1 of p and
     c2 k2 of q into the dict ``out`` of terms, in place: pq for a product
-    table, [p, q] for a commutator table.  ``table(k1, k2)`` is ((key, k),
-    ...) for nonzero ints or Fractions k, or empty; entries may cancel to
-    zero scalars.  A pair of terms costs one coefficient product, and none
-    when its table entry is empty."""
+    table, [p, q] for a bracket or commutator table.  ``table(k1, k2)`` is
+    ((key, k), ...) for nonzero ints k, or empty; entries may cancel to zero
+    scalars.  A pair of terms costs one coefficient product, and none when
+    its table entry is empty; a k of 1 or -1 costs no further product."""
+    get = out.get
     for k1, c1 in p.terms.items():
         for k2, c2 in q.terms.items():
             terms = table(k1, k2)
-            if terms:
-                add_multiples(out, c1 * c2, terms)
+            if not terms:
+                continue
+            c = c1 * c2
+            for key, k in terms:
+                cur = get(key)
+                if k == 1:
+                    out[key] = c if cur is None else cur + c
+                elif k == -1:
+                    out[key] = -c if cur is None else cur - c
+                else:
+                    v = c * k
+                    out[key] = v if cur is None else cur + v
 
 
 def commutator_terms(table, k1, k2):
     """table(k1, k2) - table(k2, k1) for a product table as above, with the
-    common keys cancelled in ints or Fractions: ((key, k), ...) for the
-    nonzero k only, integral ones as ints."""
+    common keys cancelled in ints: ((key, k), ...) for the nonzero k only."""
     out = dict(table(k1, k2))
     for key, k in table(k2, k1):
         out[key] = out.get(key, 0) - k
-    return tuple(
-        (key, k.numerator if k.denominator == 1 else k) for key, k in out.items() if k
-    )
+    return tuple((key, k) for key, k in out.items() if k)
 
 
 class Combination:

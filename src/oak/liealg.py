@@ -24,7 +24,7 @@ from functools import lru_cache
 from operator import add
 from typing import NamedTuple
 
-from .combination import Combination, add_multiples, checked_int
+from .combination import Combination, accumulate, checked_int
 
 
 class BasisElement(NamedTuple):
@@ -182,8 +182,9 @@ def _expand_sp(m, mats, owner):
 
 @lru_cache(maxsize=None)
 def structure_constants(n):
-    """All nonzero basis brackets, as {(a, b): ((elem, Fraction), ...)}, with
-    the pairs and the terms in basis order; cached per rank.
+    """All nonzero basis brackets, as {(a, b): ((elem, int), ...)}, with
+    the pairs and the terms in basis order; cached per rank.  The constants
+    are ints, so every key-level table built from these holds ints.
 
     One pass over the unordered pairs whose bracket can be nonzero by
     weight: z is central, the Cartan elements commute, [h_i, X_alpha] = 0
@@ -242,16 +243,14 @@ def structure_constants(n):
                 continue
             res = realized(a, b)
             if res:
-                terms = tuple(sorted(
-                    ((e, Fraction(c)) for e, c in res.items()), key=lambda t: index[t[0]]
-                ))
+                terms = tuple(sorted(res.items(), key=lambda t: index[t[0]]))
                 table[a, b] = terms
                 table[b, a] = tuple((e, -c) for e, c in terms)
     return dict(sorted(table.items(), key=lambda kv: (index[kv[0][0]], index[kv[0][1]])))
 
 
 def bracket_basis(a, b, n):
-    """[a, b] for two basis elements as a list of (BasisElement, Fraction)."""
+    """[a, b] for two basis elements as a list of (BasisElement, int)."""
     validate_element(a, n)
     validate_element(b, n)
     return list(structure_constants(n).get((a, b), ()))
@@ -296,17 +295,14 @@ class LieElement(Combination):
 
 
 def bracket(x, y, n=None):
-    """Bilinear antisymmetric extension of the basis bracket."""
+    """Bilinear antisymmetric extension of the basis bracket: one
+    ``accumulate`` over the structure constants."""
     x._check(y)
     if n is not None and n != x.n:
         raise ValueError(f"rank mismatch: elements have rank {x.n}, got {n}")
     table = structure_constants(x.n)
     out = {}
-    for a, ca in x.terms.items():
-        for b, cb in y.terms.items():
-            res = table.get((a, b))
-            if res:
-                add_multiples(out, ca * cb, res)
+    accumulate(out, x, y, lambda a, b: table.get((a, b)))
     return x._like(out)
 
 

@@ -12,9 +12,11 @@ and the Heisenberg part to 1 ⊗ (image above).  Each image above is one
 normal monomial, written in closed form, and every map out of g_n extends
 linearly through ``add_scaled``.  Both are verified pair by pair, each
 commutator of images by one ``accumulate`` over a commutator table, which
-cancels the two orders of every pair of keys in ints or Fractions before
-any scalar work.  Products of tensors go through the same ``accumulate``
-over the tensor product table.
+cancels the two orders of every pair of keys in ints before any scalar
+work.  Products of tensors go through the same ``accumulate`` over the
+tensor product table, whose entries are ints like every key-level table
+(the sp factor's from ``PBWEngine.monomial_product``, the Weyl factor's
+from ``weyl_mono_product``).
 
 Twists are handled through their binomial conjugation series
 theta_b(u) = sum_j C(b,j) (ad X_{-2e_i})^j(u) X_{-2e_i}^(-j), which truncates
@@ -156,7 +158,7 @@ def _tensor_products(eng):
         (m1, w1), (m2, w2) = key1, key2
         wprod = weyl_mono_product(w1, w2)
         return [
-            ((mono, wkey), cf if cw == 1 else cf * cw)
+            ((mono, wkey), cf * cw)
             for mono, cf in eng.monomial_product(m1, m2)
             for wkey, cw in wprod
         ]
@@ -166,7 +168,7 @@ def _tensor_products(eng):
 
 @lru_cache(maxsize=None)
 def _key_commutator(key1, key2):
-    """[m1 ⊗ w1, m2 ⊗ w2] as ((key, int or Fraction), ...), nonzero only.
+    """[m1 ⊗ w1, m2 ⊗ w2] as ((key, int), ...), nonzero only.
 
     With a unit Weyl factor it is [m1, m2] ⊗ w, with a unit sp factor
     m ⊗ [w1, w2], and with a unit on either side it vanishes; only a pair

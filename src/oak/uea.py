@@ -4,8 +4,8 @@ Words in the distinguished basis are rewritten to the Poincare-Birkhoff-Witt
 normal form over the canonical order (negative root vectors, then Cartan and
 central elements, then positive root vectors).  The only rewrite rule is
 xy -> yx + [x, y] on adjacent out-of-order pairs; the kernel works over plain
-Fractions (structure constants are rational) and scalar coefficients enter
-only at the element level.
+ints (the structure constants are integers), so normal words and monomial
+products hold ints, and scalars enter only at the element level.
 
 The same engine, restricted to the sp_2n sub-basis, drives the tensor-factor
 arithmetic in :mod:`oak.morphisms`.
@@ -13,7 +13,6 @@ arithmetic in :mod:`oak.morphisms`.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .combination import Combination, accumulate
@@ -89,22 +88,25 @@ class PBWEngine:
         return tuple(word)
 
     def monomial_product(self, m1, m2):
-        """The product of two monomials as (monomial, Fraction) pairs: the
+        """The product of two monomials as (monomial, int) pairs: the
         product table of this basis slice, read from ``normal_word``."""
         return self.normal_word(self.word_of_monomial(m1) + self.word_of_monomial(m2)).items()
 
     def normal_word(self, word, strategy="rightmost", rng=None):
-        """Normal form of a product word as {monomial: Fraction}.
+        """Normal form of a product word as {monomial: int}.
 
         Strategies resolve the rightmost inversion (production default, with
         a shared memo), the leftmost, or a uniformly random one; all agree on
-        the result, which the confluence suite checks explicitly.
+        the result, which the confluence suite checks explicitly.  Any other
+        strategy raises ValueError.
         """
         if strategy == "random":
             if rng is None:
                 raise ValueError("random strategy needs an rng")
             return self._normalize(word, None, rng, {})
-        memo = self._memo[strategy]
+        memo = self._memo.get(strategy)
+        if memo is None:
+            raise ValueError(f"unknown normal-ordering strategy {strategy!r}")
         return self._normalize(word, strategy, None, memo)
 
     def _normalize(self, word, strategy, rng, memo):
@@ -115,7 +117,7 @@ class PBWEngine:
             k for k in range(len(word) - 1) if word[k] > word[k + 1]
         ]
         if not inversions:
-            result = {self.monomial_of_word(word): Fraction(1)}
+            result = {self.monomial_of_word(word): 1}
         else:
             if strategy == "rightmost":
                 k = inversions[-1]
@@ -129,7 +131,7 @@ class PBWEngine:
             for elem, c in self.sc.get((a, b), ()):
                 shorter = word[:k] + (elem,) + word[k + 2:]
                 for mono, c2 in self._normalize(shorter, strategy, rng, memo).items():
-                    v = result.get(mono, Fraction(0)) + c * c2
+                    v = result.get(mono, 0) + c * c2
                     if v:
                         result[mono] = v
                     else:

@@ -7,6 +7,7 @@ path.  Everything is exact Fraction arithmetic on sparse dicts.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 from oak.liealg import Z, basis, x_
 
@@ -58,6 +59,24 @@ def matrix_of(b, n):
     return m
 
 
+@lru_cache(maxsize=None)
+def sp_matrices(n):
+    """{b: matrix_of(b, n)} for the sp_2n basis elements, in basis order;
+    built once per rank and never changed in place."""
+    return {b: matrix_of(b, n) for b in basis(n) if is_sp(b)}
+
+
+@lru_cache(maxsize=None)
+def pivots(n):
+    """{position: (b, entry)}: the first entry of each sp basis matrix,
+    in basis order; built once per rank."""
+    out = {}
+    for b, m in sp_matrices(n).items():
+        rc, entry = next(iter(m.items()))
+        out[rc] = (b, entry)
+    return out
+
+
 def vector_of(b, n):
     k, c = next((k, c) for k, c in enumerate(b.tag) if c)
     return {k if c > 0 else n + k: Fraction(1)}
@@ -102,17 +121,14 @@ def expand_in_sp_basis(m, n):
     determines one coordinate; the reconstruction is verified afterwards.
     """
     coords = {}
-    for b in basis(n):
-        if not is_sp(b):
-            continue
-        mat = matrix_of(b, n)
-        (r, c), pivot = next(iter(mat.items()))
-        v = m.get((r, c), Fraction(0))
+    for rc, (b, pivot) in pivots(n).items():
+        v = m.get(rc, Fraction(0))
         if v:
             coords[b] = v / pivot
+    mats = sp_matrices(n)
     rebuilt = {}
     for b, coeff in coords.items():
-        for rc, v in matrix_of(b, n).items():
+        for rc, v in mats[b].items():
             rebuilt[rc] = rebuilt.get(rc, Fraction(0)) + coeff * v
     assert {k: v for k, v in rebuilt.items() if v} == m, "not an sp matrix"
     return coords
@@ -134,16 +150,15 @@ def bracket_oracle(a, b, n):
     """[a, b] as {BasisElement: Fraction}, computed from the realization."""
     if a.kind == "z" or b.kind == "z":
         return {}
+    mats = sp_matrices(n)
     if is_sp(a) and is_sp(b):
-        return expand_in_sp_basis(mat_commutator(matrix_of(a, n), matrix_of(b, n)), n)
+        return expand_in_sp_basis(mat_commutator(mats[a], mats[b]), n)
     if is_sp(a) and is_vec(b):
-        return expand_in_vector_basis(mat_vec(matrix_of(a, n), vector_of(b, n)), n)
+        return expand_in_vector_basis(mat_vec(mats[a], vector_of(b, n)), n)
     if is_vec(a) and is_sp(b):
         return {
             k: -v
-            for k, v in expand_in_vector_basis(
-                mat_vec(matrix_of(b, n), vector_of(a, n)), n
-            ).items()
+            for k, v in expand_in_vector_basis(mat_vec(mats[b], vector_of(a, n)), n).items()
         }
     omega = symplectic_form(vector_of(a, n), vector_of(b, n), n)
     return {Z: omega} if omega else {}

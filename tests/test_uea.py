@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -60,6 +61,12 @@ def test_confluence_of_strategies(n):
             CTX, word, n, strategy="random", rng=random.Random(rng.random())
         )
         assert right == left == rand
+
+
+@pytest.mark.parametrize("strategy", ["bogus", None])
+def test_unknown_strategy_is_refused(strategy):
+    with pytest.raises(ValueError, match=re.escape(f"strategy {strategy!r}")):
+        normal_order(CTX, [x_((1,)), x_((-1,))], 1, strategy=strategy)
 
 
 def test_filtration_respected():
